@@ -33,8 +33,6 @@ def op_check_cases(rng):
          lambda ts: T.mul(ts[0], ts[1]))
     case("matmul", (3, 2), [_rand(rng, 3, 5), _rand(rng, 5, 2)],
          lambda ts: T.matmul(ts[0], ts[1]))
-    case("dot_along_channel", (6,), [_rand(rng, 6, 4), _rand(rng, 4)],
-         lambda ts: T.dot_along_channel(ts[0], ts[1]))
 
     case("conv2d", (3, 5, 5), [_rand(rng, 2, 5, 5), _rand(rng, 3, 2, 3, 3), _rand(rng, 3)],
          lambda ts: T.conv2d(ts[0], ts[1], ts[2]))

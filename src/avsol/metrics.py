@@ -275,24 +275,41 @@ def write_heatmaps(path, entries):
 
 
 def read_heatmaps(path):
-    """Returns mapping (video_id, frame_index) -> Heatmap."""
+    """Returns mapping (video_id, frame_index) -> Heatmap.
+
+    Every read is length-checked and the file must end after its last frame;
+    a defect raises MetricError naming the file and the byte offset.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != HEATMAP_MAGIC:
         raise MetricError(f"{path}: not a heatmap file")
-    version, count = struct.unpack_from("<HI", raw, 4)
+    off = 4
+
+    def take(size):
+        nonlocal off
+        if len(raw) - off < size:
+            raise MetricError(f"{path}: truncated at byte {off}: "
+                              f"{size} bytes needed, {len(raw) - off} left")
+        off += size
+        return off - size
+
+    version, count = struct.unpack_from("<HI", raw, take(6))
     if version != HEATMAP_VERSION:
         raise MetricError(f"{path}: unsupported heatmap file version {version}")
-    off = 10
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        video_id = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        frame_index, width, height = struct.unpack_from("<IHH", raw, off)
-        off += 8
-        vals = np.frombuffer(raw, dtype="<f4", count=width * height, offset=off)
-        off += 4 * width * height
+        (nlen,) = struct.unpack_from("<H", raw, take(2))
+        start = take(nlen)
+        try:
+            video_id = raw[start:start + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise MetricError(f"{path}: video id at byte {start} is not UTF-8") from None
+        frame_index, width, height = struct.unpack_from("<IHH", raw, take(8))
+        vals = np.frombuffer(raw, dtype="<f4", count=width * height,
+                             offset=take(4 * width * height))
         out[(video_id, frame_index)] = Heatmap(vals.reshape(height, width).astype(np.float64))
+    if off != len(raw):
+        raise MetricError(f"{path}: {len(raw) - off} unexpected bytes after the last "
+                          f"frame, at byte {off}")
     return out

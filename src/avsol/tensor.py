@@ -2,12 +2,13 @@
 
 Covers exactly the op set the localization model needs: elementwise
 arithmetic, matmul, 'same' 2D/3D convolution, block average pooling,
-sigmoid/tanh/softmax, global max, per-cell dot products, binary
+sigmoid/tanh/softmax, L2 normalization, global max, binary
 cross-entropy and a few layout ops.  No broadcasting beyond
 scalar-with-tensor; any other shape mismatch raises loudly.
 """
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -166,8 +167,8 @@ def add(a, b):
     _check_elementwise("add", a, b)
 
     def rule(g):
-        _accum(a, _reduce_to(a.shape, g * np.ones_like(b.data)))
-        _accum(b, _reduce_to(b.shape, g * np.ones_like(a.data)))
+        _accum(a, _reduce_to(a.shape, g))
+        _accum(b, _reduce_to(b.shape, g))
 
     return _node(a.data + b.data, (a, b), "add", rule)
 
@@ -209,24 +210,26 @@ def matmul(a, b):
     return _node(out, (a, b), "matmul", rule)
 
 
-OP_REGISTRY["dot_along_channel"] = "per-cell dot product of a cell-feature grid with one vector"
-
-
-def dot_along_channel(v, a):
-    """v: (cells, dim), a: (dim,) -> (cells,) of per-cell dot products."""
-    v, a = _as_tensor(v), _as_tensor(a)
-    if v.data.ndim != 2 or a.data.ndim != 1 or v.shape[1] != a.shape[0]:
-        raise ShapeError(f"dot_along_channel: expected (I,D) and (D,), got {v.shape} and {a.shape}")
-
-    def rule(g):
-        _accum(v, np.outer(g, a.data))
-        _accum(a, v.data.T @ g)
-
-    return _node(v.data @ a.data, (v, a), "dot_along_channel", rule)
-
-
 # ---------------------------------------------------------------------------
-# convolution ('same' zero padding, stride 1, odd kernels only)
+# convolution ('same' zero padding, stride 1, odd kernels only), computed as
+# im2col matrix multiplies (Chellapilla, Puri & Simard, 2006)
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(spatial, ksizes):
+    """Flat input position read by each kernel tap at each output cell.
+
+    Shape (prod(ksizes), prod(spatial)). Taps that fall into the zero padding
+    read index prod(spatial), a zero column appended to the flattened input.
+    """
+    ndim = len(spatial)
+    taps = np.indices(ksizes).reshape(ndim, -1, 1) - np.array(ksizes).reshape(ndim, 1, 1) // 2
+    pos = np.indices(spatial).reshape(ndim, 1, -1) + taps  # (ndim, taps, cells)
+    inside = np.all((pos >= 0) & (pos < np.array(spatial).reshape(ndim, 1, 1)), axis=0)
+    n = int(np.prod(spatial))
+    idx = np.where(inside, np.ravel_multi_index(tuple(pos), spatial, mode="clip"), n)
+    idx.flags.writeable = False
+    return idx
 
 
 def _conv_nd(op, x, kernel, bias, ndim):
@@ -246,32 +249,34 @@ def _conv_nd(op, x, kernel, bias, ndim):
         if bias.shape != (cout,):
             raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
 
-    pads = [(k // 2, k // 2) for k in ksizes]
-    xp = np.pad(x.data, [(0, 0)] + pads)
-    # win: (cin, *spatial, *ksizes), a strided view of the padded input
-    win = np.lib.stride_tricks.sliding_window_view(
-        xp, ksizes, axis=tuple(range(1, ndim + 1)))
-    kern_axes = list(range(2, ndim + 2))
-    win_kaxes = list(range(ndim + 1, 2 * ndim + 1))
-    out = np.tensordot(kernel.data, win, axes=([1] + kern_axes, [0] + win_kaxes))
+    n = int(np.prod(spatial))
+    idx = _gather_index(spatial, ksizes)
+    xd = x.data
+    w2 = kernel.data.reshape(cout, -1)  # rows (cin, *ksizes) match the im2col rows
+
+    def im2col():
+        flat = np.concatenate([xd.reshape(cin, n), np.zeros((cin, 1))], axis=1)
+        return np.take(flat, idx.ravel(), axis=1).reshape(-1, n)
+
+    out = (w2 @ im2col()).reshape((cout,) + spatial)
     if bias is not None:
         out = out + bias.data.reshape((cout,) + (1,) * ndim)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    spatial_axes = list(range(1, ndim + 1))
 
+    # the columns are rebuilt here rather than kept: two training graphs are
+    # alive at once, and holding their columns would raise peak memory
     def rule(g):
-        _accum(kernel, np.tensordot(g, win, axes=(spatial_axes, spatial_axes)))
+        g2 = g.reshape(cout, n)
+        if kernel.requires_grad:
+            _accum(kernel, (g2 @ im2col().T).reshape(kernel.shape))
         if bias is not None:
-            _accum(bias, g.sum(axis=tuple(spatial_axes)))
+            _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for off in np.ndindex(*ksizes):
-                k_off = kernel.data[(slice(None), slice(None)) + off]  # (cout, cin)
-                sl = tuple(slice(o, o + n) for o, n in zip(off, spatial))
-                dxp[(slice(None),) + sl] += np.tensordot(k_off, g, axes=([0], [0]))
-            crop = tuple(slice(p[0], p[0] + n) for p, n in zip(pads, spatial))
-            _accum(x, dxp[(slice(None),) + crop])
+            scatter = idx + (n + 1) * np.arange(cin).reshape(cin, 1, 1)
+            dflat = np.bincount(scatter.ravel(), weights=(w2.T @ g2).ravel(),
+                                minlength=cin * (n + 1))
+            _accum(x, dflat.reshape(cin, n + 1)[:, :n].reshape(x.shape))
 
     return _node(out, parents, op, rule)
 

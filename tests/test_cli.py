@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avsol.annotation import classify_frame, parse_annotations, rasterize_boxes
+from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation, classify_frame,
+                              parse_annotations, rasterize_boxes, serialize_annotations)
 from avsol.cli import main
 from avsol.metrics import Heatmap, write_heatmaps
 
@@ -144,6 +150,51 @@ class TestEval:
                            "--grid-w", "6", "--grid-h", "6")
         assert code == 2
         assert "error" in err
+
+
+def small_eval_files(root):
+    """One annotated frame and its 2x2 heatmap: a 37-byte AVHM file."""
+    frame = FrameAnnotation(video_id="v", frame_index=0, width=20, height=20, boxes=(
+        BoundingBox(x_min=0, y_min=0, x_max=10, y_max=10, sounding=True,
+                    out_of_view=False, category="c"),))
+    annotations = Path(root) / "ann.jsonl"
+    annotations.write_bytes(serialize_annotations(DatasetIndex.from_frames([frame])))
+    maps = Path(root) / "maps.avhm"
+    write_heatmaps(maps, [("v", 0, Heatmap(np.array([[0.9, 0.1], [0.2, 0.3]])))])
+    return annotations, maps
+
+
+def eval_exit_code(annotations, maps):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--annotations", str(annotations), "--heatmaps", str(maps),
+                     "--grid-w", "2", "--grid-h", "2"])
+    return code, err.getvalue()
+
+
+class TestHeatmapFileDefects:
+    def test_intact_small_file_evaluates(self, tmp_path):
+        assert eval_exit_code(*small_eval_files(tmp_path))[0] == 0
+
+    def test_every_truncation_is_a_data_error_naming_the_file(self, tmp_path):
+        annotations, maps = small_eval_files(tmp_path)
+        blob = maps.read_bytes()
+        cut_path = tmp_path / "cut.avhm"
+        for cut in range(len(blob)):
+            cut_path.write_bytes(blob[:cut])
+            code, err = eval_exit_code(annotations, cut_path)
+            assert code == 2, cut
+            assert str(cut_path) in err, cut
+
+    @settings(max_examples=50, deadline=None)
+    @given(tail=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes_are_a_data_error(self, tail):
+        with tempfile.TemporaryDirectory() as root:
+            annotations, maps = small_eval_files(root)
+            maps.write_bytes(maps.read_bytes() + tail)
+            code, err = eval_exit_code(annotations, maps)
+        assert code == 2
+        assert "unexpected bytes after the last frame" in err
 
 
 class TestGradcheck:

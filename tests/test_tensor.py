@@ -122,6 +122,77 @@ class TestBackward:
         assert T.grad_check(lambda ts: T.mean(ts[0] * T.Tensor(c)), [a]) <= 1e-10
 
 
+def reference_conv(x, w, b, r):
+    """Naive 'same' convolution, one output cell and kernel tap at a time.
+
+    Returns the output and the gradients of sum(output * r) with respect to
+    x, w and b.
+    """
+    ksizes = w.shape[2:]
+    spatial = x.shape[1:]
+    out = np.zeros((w.shape[0],) + spatial)
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for p in np.ndindex(*spatial):
+        for tap in np.ndindex(*ksizes):
+            q = tuple(pi + ti - k // 2 for pi, ti, k in zip(p, tap, ksizes))
+            if not all(0 <= qi < n for qi, n in zip(q, spatial)):
+                continue
+            wt = w[(slice(None), slice(None)) + tap]
+            xq, rp = x[(slice(None),) + q], r[(slice(None),) + p]
+            out[(slice(None),) + p] += wt @ xq
+            dw[(slice(None), slice(None)) + tap] += np.outer(rp, xq)
+            dx[(slice(None),) + q] += wt.T @ rp
+    out += b.reshape((-1,) + (1,) * len(spatial))
+    return out, dx, dw, r.reshape(r.shape[0], -1).sum(axis=1)
+
+
+def assert_close(actual, expected):
+    # float64 sums of up to a few thousand products taken in another order
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-10 * max(1.0, np.abs(expected).max()))
+
+
+class TestConvolutionAgainstReferenceLoop:
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((1, 8, 24, 24), (6, 1, 1, 3, 3)),     # visual layer 1
+        ((6, 8, 24, 24), (16, 6, 1, 3, 3)),    # visual layer 2
+        ((6, 8, 24, 24), (8, 6, 1, 1, 1)),     # pointwise classification branch
+        ((1, 16, 8), (8, 1, 3, 1)),            # audio layer 1
+        ((8, 16, 8), (16, 8, 3, 1)),           # audio layer 2
+        ((32, 6, 6), (16, 32, 3, 3)),          # ConvGRU gates
+    ])
+    def test_model_layer_shapes(self, x_shape, w_shape):
+        rng = np.random.default_rng(len(x_shape) * 100 + x_shape[0])
+        x, w = rand(rng, *x_shape), rand(rng, *w_shape)
+        b = rand(rng, w_shape[0])
+        r = rng.uniform(-1, 1, size=(w_shape[0],) + x_shape[1:])
+        conv = T.conv2d if len(x_shape) == 3 else T.conv3d
+        out = conv(x, w, b)
+        T.backward(T.mean(out * T.Tensor(r * r.size)))
+        ref_out, ref_dx, ref_dw, ref_db = reference_conv(x.data, w.data, b.data, r)
+        assert_close(out.data, ref_out)
+        assert_close(x.grad, ref_dx)
+        assert_close(w.grad, ref_dw)
+        assert_close(b.grad, ref_db)
+
+    def test_same_kernel_on_two_sizes_in_turn(self):
+        rng = np.random.default_rng(12)
+        w = rng.uniform(-1, 1, size=(2, 3, 3, 3))
+        for size in (5, 7, 5):
+            x = rng.uniform(-1, 1, size=(3, size, size))
+            out = T.conv2d(T.Tensor(x), T.Tensor(w))
+            r = np.zeros((2, size, size))
+            assert_close(out.data, reference_conv(x, w, np.zeros(2), r)[0])
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(13)
+        x = T.Tensor(rng.uniform(-1, 1, size=(2, 4, 5)))
+        w = rand(rng, 3, 2, 3, 3)
+        T.backward(T.mean(T.conv2d(x, w)))
+        assert x.grad is None
+        assert w.grad is not None and w.grad.any()
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = T.Parameter("p", np.array([1.0, 2.0]))
