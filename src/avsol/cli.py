@@ -231,7 +231,7 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (T.GraphError, AssertionError) as exc:
+    except (T.ShapeError, T.GraphError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

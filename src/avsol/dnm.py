@@ -4,8 +4,11 @@ Small frame-wise conv encoders produce per-cell visual features and per-step
 audio features; their per-cell correlations form one score grid that both
 heads read: per-cell sigmoid + global max pooling for the correspondence (MIL)
 head, and global softmax attention over a classification feature grid for
-the event head. Everything is composed from the tensor module's ops, so the
-whole forward pass is gradient-checkable.
+the event head. Combined dynamic fusion (cdf) multiplies that grid by the
+cosine of the final states of a ConvGRU over the visual grid and a GRU over
+the audio features, one `tensor.gru_cell` node per modality and time step.
+Everything is built from the tensor module's registered ops, so the whole
+forward pass is gradient-checkable.
 """
 from __future__ import annotations
 
@@ -179,7 +182,8 @@ class DnmModel:
         cfg = self.config
         expected = (cfg.frames_per_clip, cfg.frame_height, cfg.frame_width, 1)
         if clip.shape != expected:
-            raise T.ShapeError(f"clip shape {clip.shape} != {expected}")
+            raise ConfigError(f"clip shape {clip.shape} does not match the model config, "
+                              f"which expects {expected}")
         x = T.Tensor(np.transpose(clip, (3, 0, 1, 2)))  # (1, frames, H, W)
         h1 = T.tanh(T.conv3d(x, self.v_conv1_w.tensor, self.v_conv1_b.tensor))
         h2 = T.tanh(T.conv3d(h1, self.v_conv2_w.tensor, self.v_conv2_b.tensor))
@@ -204,7 +208,8 @@ class DnmModel:
         cfg = self.config
         expected = (cfg.mel_bins, cfg.audio_steps)
         if logmel.shape != expected:
-            raise T.ShapeError(f"logmel shape {logmel.shape} != {expected}")
+            raise ConfigError(f"log-mel shape {logmel.shape} does not match the model "
+                              f"config, which expects {expected}")
         x = T.Tensor((logmel - logmel.mean(axis=1, keepdims=True))[None])  # (1, mel, steps)
         h1 = T.tanh(T.conv2d(x, self.a_conv1_w.tensor, self.a_conv1_b.tensor))
         h2 = T.tanh(T.conv2d(h1, self.a_conv2_w.tensor, self.a_conv2_b.tensor))
@@ -231,30 +236,20 @@ class DnmModel:
         a = T.reshape(T.matmul(center, a), (t * d,))
         return T.matmul(T.l2_normalize(v, axis=1), T.l2_normalize(a, axis=0))
 
-    def _conv_gru_cell(self, x, h):
-        xh = T.concat([x, h], axis=0)
-        z = T.sigmoid(T.conv2d(xh, self.cgru_update_w.tensor, self.cgru_update_b.tensor))
-        r = T.sigmoid(T.conv2d(xh, self.cgru_reset_w.tensor, self.cgru_reset_b.tensor))
-        n = T.tanh(T.conv2d(T.concat([x, r * h], axis=0),
-                            self.cgru_cand_w.tensor, self.cgru_cand_b.tensor))
-        return (1.0 - z) * h + z * n
-
-    def _gru_cell(self, x, h):
-        xh = T.concat([x, h], axis=0)
-        z = T.sigmoid(T.matmul(self.gru_update_w.tensor, xh) + self.gru_update_b.tensor)
-        r = T.sigmoid(T.matmul(self.gru_reset_w.tensor, xh) + self.gru_reset_b.tensor)
-        n = T.tanh(T.matmul(self.gru_cand_w.tensor, T.concat([x, r * h], axis=0))
-                   + self.gru_cand_b.tensor)
-        return (1.0 - z) * h + z * n
+    def _gates(self, prefix):
+        return [getattr(self, f"{prefix}_{gate}_{part}").tensor
+                for gate in ("update", "reset", "cand") for part in ("w", "b")]
 
     def dynamic_fusion(self, v_seq, a):
-        """Per-cell cosine of the final recurrent states of both modalities."""
+        """Per-cell cosine of the final states of a ConvGRU over the visual
+        grid features and a GRU over the audio features."""
         cfg = self.config
         hv = T.Tensor(np.zeros((cfg.feature_dim, cfg.grid_h, cfg.grid_w)))
         ha = T.Tensor(np.zeros(cfg.feature_dim))
+        visual_gates, audio_gates = self._gates("cgru"), self._gates("gru")
         for t in range(cfg.time_steps):
-            hv = self._conv_gru_cell(T.take(v_seq, t), hv)
-            ha = self._gru_cell(T.take(a, t), ha)
+            hv = T.gru_cell(T.take(v_seq, t), hv, *visual_gates)
+            ha = T.gru_cell(T.take(a, t), ha, *audio_gates)
         v_final = T.transpose(T.reshape(hv, (cfg.feature_dim, cfg.cells)), (1, 0))
         return T.matmul(T.l2_normalize(v_final, axis=1), T.l2_normalize(ha, axis=0))
 

@@ -57,6 +57,16 @@ def op_check_cases(rng):
     case("transpose", (2, 3, 4), [_rand(rng, 3, 4, 2)],
          lambda ts: T.transpose(ts[0], (2, 0, 1)))
     case("take", (3,), [_rand(rng, 4, 3)], lambda ts: T.take(ts[0], 2))
+
+    # both ranks in one case: a 1-channel ConvGRU on a 2x3 grid and a 2-dim GRU
+    def gru_inputs(d, grid):
+        wshape = (d, 2 * d) + ((3, 3) if grid else ())
+        return [_rand(rng, d, *grid), _rand(rng, d, *grid)] + [
+            t for _ in range(3) for t in (_rand(rng, *wshape), _rand(rng, d))]
+
+    s_grid, s_vec = _scalarizer(rng, (1, 2, 3)), _scalarizer(rng, (2,))
+    cases["gru_cell"] = (lambda ts: s_grid(T.gru_cell(*ts[:8])) + s_vec(T.gru_cell(*ts[8:])),
+                         gru_inputs(1, (2, 3)) + gru_inputs(2, ()))
     return cases
 
 

@@ -277,8 +277,9 @@ def write_heatmaps(path, entries):
 def read_heatmaps(path):
     """Returns mapping (video_id, frame_index) -> Heatmap.
 
-    Every read is length-checked and the file must end after its last frame;
-    a defect raises MetricError naming the file and the byte offset.
+    Every read is length-checked, every value must be finite and the file
+    must end after its last frame; a defect raises MetricError naming the
+    file and the byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -306,8 +307,12 @@ def read_heatmaps(path):
         except UnicodeDecodeError:
             raise MetricError(f"{path}: video id at byte {start} is not UTF-8") from None
         frame_index, width, height = struct.unpack_from("<IHH", raw, take(8))
-        vals = np.frombuffer(raw, dtype="<f4", count=width * height,
-                             offset=take(4 * width * height))
+        values_at = take(4 * width * height)
+        vals = np.frombuffer(raw, dtype="<f4", count=width * height, offset=values_at)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise MetricError(f"{path}: non-finite heatmap value in {video_id!r} frame "
+                              f"{frame_index} at byte {values_at + 4 * int(np.argmin(finite))}")
         out[(video_id, frame_index)] = Heatmap(vals.reshape(height, width).astype(np.float64))
     if off != len(raw):
         raise MetricError(f"{path}: {len(raw) - off} unexpected bytes after the last "

@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly the op set the localization model needs: elementwise
-arithmetic, matmul, 'same' 2D/3D convolution, block average pooling,
+arithmetic, matmul, 'same' 2D/3D convolution, one fused GRU step
+(`gru_cell`, convolution or matrix-product gates), block average pooling,
 sigmoid/tanh/softmax, L2 normalization, global max, binary
 cross-entropy and a few layout ops.  No broadcasting beyond
-scalar-with-tensor; any other shape mismatch raises loudly.
+scalar-with-tensor; any other shape mismatch raises ShapeError, which
+marks a bug in the calling code rather than bad data.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import struct
 import numpy as np
 
 
-class ShapeError(ValueError):
-    pass
+class ShapeError(Exception):
+    """Operands of an op do not fit together: a bug in the calling code, not bad data."""
 
 
 class GraphError(RuntimeError):
@@ -41,7 +43,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor data must be finite")
         self.data = arr
         self.grad = None
@@ -232,6 +234,21 @@ def _gather_index(spatial, ksizes):
     return idx
 
 
+def _im2col(xd, idx):
+    """(channels * taps, cells) columns of a 'same' convolution input."""
+    cin, n = xd.shape[0], idx.shape[1]
+    flat = np.concatenate([xd.reshape(cin, n), np.zeros((cin, 1))], axis=1)
+    return np.take(flat, idx.ravel(), axis=1).reshape(-1, n)
+
+
+def _col2im(dcol, idx, shape):
+    """Adjoint of _im2col: sums each column entry onto the input cell it read."""
+    cin, n = shape[0], idx.shape[1]
+    scatter = idx + (n + 1) * np.arange(cin).reshape(cin, 1, 1)
+    dflat = np.bincount(scatter.ravel(), weights=dcol.ravel(), minlength=cin * (n + 1))
+    return dflat.reshape(cin, n + 1)[:, :n].reshape(shape)
+
+
 def _conv_nd(op, x, kernel, bias, ndim):
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.data.ndim != ndim + 1 or kernel.data.ndim != ndim + 2:
@@ -254,11 +271,7 @@ def _conv_nd(op, x, kernel, bias, ndim):
     xd = x.data
     w2 = kernel.data.reshape(cout, -1)  # rows (cin, *ksizes) match the im2col rows
 
-    def im2col():
-        flat = np.concatenate([xd.reshape(cin, n), np.zeros((cin, 1))], axis=1)
-        return np.take(flat, idx.ravel(), axis=1).reshape(-1, n)
-
-    out = (w2 @ im2col()).reshape((cout,) + spatial)
+    out = (w2 @ _im2col(xd, idx)).reshape((cout,) + spatial)
     if bias is not None:
         out = out + bias.data.reshape((cout,) + (1,) * ndim)
 
@@ -269,14 +282,11 @@ def _conv_nd(op, x, kernel, bias, ndim):
     def rule(g):
         g2 = g.reshape(cout, n)
         if kernel.requires_grad:
-            _accum(kernel, (g2 @ im2col().T).reshape(kernel.shape))
+            _accum(kernel, (g2 @ _im2col(xd, idx).T).reshape(kernel.shape))
         if bias is not None:
             _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
-            scatter = idx + (n + 1) * np.arange(cin).reshape(cin, 1, 1)
-            dflat = np.bincount(scatter.ravel(), weights=(w2.T @ g2).ravel(),
-                                minlength=cin * (n + 1))
-            _accum(x, dflat.reshape(cin, n + 1)[:, :n].reshape(x.shape))
+            _accum(x, _col2im(w2.T @ g2, idx, x.shape))
 
     return _node(out, parents, op, rule)
 
@@ -293,6 +303,100 @@ OP_REGISTRY["conv3d"] = "3D convolution, stride 1, zero-padded 'same'"
 
 def conv3d(x, kernel, bias=None):
     return _conv_nd("conv3d", x, kernel, bias, 3)
+
+
+OP_REGISTRY["gru_cell"] = ("one GRU step: 'same' convolution gates for a (D, h, w) state, "
+                           "matrix-product gates for a (D,) state")
+
+
+def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
+    """One GRU step as a single graph node.
+
+    z = sigmoid(W_u [x; h] + b_u), r = sigmoid(W_r [x; h] + b_r),
+    n = tanh(W_c [x; r h] + b_c), and the new state is (1 - z) h + z n.
+    For a (D, h, w) state each W is a (D, 2D, k, k) kernel of a 'same'
+    convolution (a ConvGRU); for a (D,) state it is a (D, 2D) matrix.
+
+    Forward and backward evaluate the numpy expressions of the composition
+    of concat, conv2d or matmul, add, sigmoid, tanh and mul in the same
+    order, gradients accumulated as that graph accumulates them, so the
+    results are bit-identical to it.
+    """
+    x, h = _as_tensor(x), _as_tensor(h)
+    wu, bu, wr, br, wc, bc = (_as_tensor(t) for t in
+                              (w_update, b_update, w_reset, b_reset, w_cand, b_cand))
+    if x.shape != h.shape or x.data.ndim not in (1, 3):
+        raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} must share "
+                         f"a (D,) or (D, h, w) shape")
+    d = x.shape[0]
+    grid = x.data.ndim == 3
+    wshape = (d, 2 * d) + (wu.shape[2:] if grid else ())
+    for w, b in ((wu, bu), (wr, br), (wc, bc)):
+        if w.shape != wshape or b.shape != (d,):
+            raise ShapeError(f"gru_cell: gate weight {w.shape} and bias {b.shape} "
+                             f"!= {wshape} and ({d},)")
+    if grid and (len(wshape) != 4 or any(k % 2 == 0 for k in wshape[2:])):
+        raise ShapeError(f"gru_cell: kernels must be 2D with odd sizes, got {wshape}")
+
+    if grid:
+        idx = _gather_index(x.shape[1:], wshape[2:])
+        cells = idx.shape[1]
+
+        def operand(v):  # what a gate's weights multiply: the im2col columns
+            return _im2col(v, idx)
+
+        def gate(w, b, cols):
+            return (w.data.reshape(d, -1) @ cols).reshape(x.shape) + b.data.reshape(d, 1, 1)
+
+        def gate_grads(w, cols, g):  # -> (dW, db, d[x; h])
+            g2 = g.reshape(d, cells)
+            w2 = w.data.reshape(d, -1)
+            return ((g2 @ cols.T).reshape(w.shape), g2.sum(axis=1),
+                    _col2im(w2.T @ g2, idx, xh.shape))
+    else:
+        def operand(v):
+            return v
+
+        def gate(w, b, v):
+            return w.data @ v + b.data
+
+        def gate_grads(w, v, g):
+            g2 = g.reshape(d, 1)
+            return (g2 @ v.reshape(-1, 1).T).reshape(w.shape), g, (w.data.T @ g2).reshape(v.shape)
+
+    hd = h.data
+    xh = np.concatenate([x.data, hd], axis=0)
+    xh_op = operand(xh)  # shared by the update and reset gates
+    pre_z = gate(wu, bu, xh_op)
+    pre_r = gate(wr, br, xh_op)
+    z = 1.0 / (1.0 + np.exp(-pre_z))
+    r = 1.0 / (1.0 + np.exp(-pre_r))
+    xrh = np.concatenate([x.data, r * hd], axis=0)
+    pre_n = gate(wc, bc, operand(xrh))
+    for name, pre in (("update", pre_z), ("reset", pre_r), ("candidate", pre_n)):
+        if not np.isfinite(pre).all():
+            raise ValueError(f"gru_cell: {name} gate pre-activation must be finite")
+    n = np.tanh(pre_n)
+    keep = 1.0 - z
+    out = keep * hd + z * n
+
+    # as in _conv_nd, the operands are rebuilt rather than kept
+    def rule(g):
+        g_pre_z = (g * n - g * hd) * z * (1.0 - z)
+        g_pre_n = g * z * (1.0 - n * n)
+        dwc, dbc, dxrh = gate_grads(wc, operand(xrh), g_pre_n)
+        g_rh = dxrh[d:]
+        g_pre_r = g_rh * hd * r * (1.0 - r)
+        xh_op = operand(xh)
+        dwr, dbr, dxh_r = gate_grads(wr, xh_op, g_pre_r)
+        dwu, dbu, dxh_u = gate_grads(wu, xh_op, g_pre_z)
+        dxh = dxh_r + dxh_u
+        for t, grad in ((wu, dwu), (bu, dbu), (wr, dwr), (br, dbr), (wc, dwc), (bc, dbc)):
+            _accum(t, grad)
+        _accum(x, dxrh[:d] + dxh[:d])
+        _accum(h, (g_rh * r + g * keep) + dxh[d:])
+
+    return _node(out, (x, h, wu, bu, wr, br, wc, bc), "gru_cell", rule)
 
 
 OP_REGISTRY["avg_pool"] = "non-overlapping block average pooling, one factor per axis"

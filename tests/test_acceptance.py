@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line for its criterion. The directional
 training comparison and the trained-quality floor share one session-scoped
 fixture that trains four model configurations over three seeds on the
-default synthetic dataset; that fixture dominates the suite's runtime.
+default synthetic dataset; that fixture dominates the suite's runtime, and
+the tests that use it are marked ``slow`` (``pytest -m "not slow"`` skips them).
 """
 import hashlib
 import json
@@ -194,6 +195,7 @@ def _mean(results, name, key):
     return float(np.mean([r[key] for r in results[name]]))
 
 
+@pytest.mark.slow
 def test_criterion_6_directional_ordering(trained_results):
     dnm_auc = _mean(trained_results, "cdf-dnm", "auc")
     avc_auc = _mean(trained_results, "avc", "auc")
@@ -210,6 +212,7 @@ def test_criterion_6_directional_ordering(trained_results):
         f"{elapsed / 60:.1f} min)", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_quality_floor(trained_results):
     acc = _mean(trained_results, "cdf-dnm", "avc_accuracy")
     pibr_mean = _mean(trained_results, "cdf-dnm", "pibr")
@@ -221,6 +224,7 @@ def test_criterion_7_quality_floor(trained_results):
         f"PNSR {pnsr_mean:.3f} <= 0.50)", ok)
 
 
+@pytest.mark.slow
 def test_training_loss_decreases_early(trained_results):
     # majority of seeds show strictly decreasing loss over the first 5 epochs
     wins = 0

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation, classify_frame,
                               parse_annotations, rasterize_boxes, serialize_annotations)
+from avsol import tensor as T
 from avsol.cli import main
+from avsol.dnm import DnmModel
 from avsol.metrics import Heatmap, write_heatmaps
 
 
@@ -196,6 +198,17 @@ class TestHeatmapFileDefects:
         assert code == 2
         assert "unexpected bytes after the last frame" in err
 
+    def test_non_finite_value_is_a_data_error_naming_the_frame(self, tmp_path):
+        annotations, maps = small_eval_files(tmp_path)
+        blob = bytearray(maps.read_bytes())
+        offset = len(blob) - 8  # the third of the four float32 values
+        blob[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        maps.write_bytes(bytes(blob))
+        code, err = eval_exit_code(annotations, maps)
+        assert code == 2
+        assert (f"{maps}: non-finite heatmap value in 'v' frame 0 at byte {offset}"
+                in err)
+
 
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
@@ -209,6 +222,41 @@ class TestGradcheck:
                            "--corrupt-op", "matmul")
         assert code == 3
         assert "matmul" in out and "FAIL" in out
+
+    def test_corrupted_gru_cell_is_detected_and_named(self, capsys):
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "1",
+                           "--corrupt-op", "gru_cell")
+        assert code == 3
+        assert "gradient check failed for: gru_cell" in out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("override, message", [
+        ({"frame_height": 12, "frame_width": 12},
+         "clip shape (8, 24, 24, 1) does not match the model config, "
+         "which expects (8, 12, 12, 1)"),
+        ({"mel_bins": 8},
+         "log-mel shape (16, 8) does not match the model config, which expects (8, 8)"),
+    ])
+    def test_data_that_does_not_fit_the_model_config_is_a_data_error(
+            self, dataset, tmp_path, capsys, override, message):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps(override))
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--model-config",
+                           str(config), "--epochs", "1", "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert message in err
+
+    def test_shape_bug_in_model_code_is_an_internal_error(self, dataset, tmp_path, capsys,
+                                                          monkeypatch):
+        def broken_cdf(m_static, m_dynamic):
+            return T.mul(m_static, T.Tensor(np.ones(3)))
+
+        monkeypatch.setattr(DnmModel, "cdf", staticmethod(broken_cdf))
+        code, _, err = run(capsys, "train", "--dataset", str(dataset), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert "internal error: mul: incompatible shapes (36,) and (3,)" in err
 
 
 class TestRender:

@@ -239,3 +239,84 @@ class TestCheckpoint:
             T.restore_checkpoint(path, [T.Parameter("a", np.zeros((3, 2)))])
         with pytest.raises(T.CheckpointError):
             T.restore_checkpoint(path, [T.Parameter("other", np.zeros((2, 3)))])
+
+
+def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
+    """The GRU step written with separate ops, as the model composed it before
+    the fused op existed: the reference gru_cell must match bit for bit."""
+    grid = x.data.ndim == 3
+
+    def gate(w, b, v):
+        return T.conv2d(v, w, b) if grid else T.matmul(w, v) + b
+
+    xh = T.concat([x, h], axis=0)
+    z = T.sigmoid(gate(wu, bu, xh))
+    r = T.sigmoid(gate(wr, br, xh))
+    n = T.tanh(gate(wc, bc, T.concat([x, r * h], axis=0)))
+    return (1.0 - z) * h + z * n
+
+
+class TestGruCell:
+    SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "vector": ((4,), (4, 8))}
+
+    def inputs(self, seed, state, h_requires_grad=True):
+        rng = np.random.default_rng(seed)
+        shape, wshape = self.SHAPES[state]
+        arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+        for _ in range(3):
+            arrays += [rng.normal(scale=0.5, size=wshape), rng.normal(size=shape[0])]
+        scale = rng.uniform(0.5, 1.5, size=shape)
+        tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+        tensors[1].requires_grad = h_requires_grad
+        return tensors, scale
+
+    @pytest.mark.parametrize("state", ["grid", "vector"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bit_identical_to_the_composed_cell(self, state, seed):
+        results = []
+        for cell in (T.gru_cell, composed_gru_cell):
+            ts, scale = self.inputs(seed, state)
+            out = cell(*ts)
+            T.backward(T.mean(out * T.Tensor(scale)))
+            results.append((out.data, [t.grad for t in ts]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert np.abs(fused).max() > 0.1
+        assert np.array_equal(fused, ref)
+        for k, (got, want) in enumerate(zip(fused_grads, ref_grads)):
+            assert want is not None and np.abs(want).max() > 0, k
+            assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("state", ["grid", "vector"])
+    def test_constant_state_gets_no_gradient(self, state):
+        results = []
+        for cell in (T.gru_cell, composed_gru_cell):
+            ts, scale = self.inputs(5, state, h_requires_grad=False)
+            T.backward(T.mean(cell(*ts) * T.Tensor(scale)))
+            results.append([t.grad for t in ts])
+        fused, ref = results
+        assert fused[1] is None and ref[1] is None
+        for got, want in zip(fused[:1] + fused[2:], ref[:1] + ref[2:]):
+            assert np.array_equal(got, want)
+
+    def test_one_node_per_step(self):
+        ts, _ = self.inputs(6, "grid")
+        out = T.gru_cell(*ts)
+        assert out._op == "gru_cell" and out._parents == tuple(ts)
+
+    def test_mismatched_shapes_raise(self):
+        ts, _ = self.inputs(7, "grid")
+        with pytest.raises(T.ShapeError, match="gru_cell"):
+            T.gru_cell(ts[0], T.Tensor(np.zeros((3, 4, 4))), *ts[2:])
+        with pytest.raises(T.ShapeError, match="gru_cell"):
+            T.gru_cell(*ts[:4], T.Tensor(np.zeros((3, 6, 1, 3))), *ts[5:])
+        vs, _ = self.inputs(7, "vector")
+        with pytest.raises(T.ShapeError, match="gru_cell"):
+            T.gru_cell(*vs[:7], T.Tensor(np.zeros(3)))
+
+    def test_non_finite_pre_activation_raises(self):
+        ts, _ = self.inputs(8, "vector")
+        ts[0] = T.Tensor(np.full(4, 1e308))
+        ts[2] = T.Tensor(np.ones((4, 8)))  # update gate: 4e308 overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="update gate pre-activation must be finite"):
+            T.gru_cell(*ts)
