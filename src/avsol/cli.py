@@ -16,12 +16,11 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import tensor as T
-from .annotation import AnnotationError, parse_annotations
-from .dnm import ConfigError, DnmModel, ModelConfig, predict_heatmaps, train
+from .annotation import parse_annotations
+from .dnm import DnmModel, ModelConfig, predict_heatmaps, train
 from .metrics import (MetricError, evaluate, minmax_normalize, read_heatmaps,
                       write_heatmaps)
-from .synth import (GeneratorConfig, GeneratorError, generate_dataset, load_split,
-                    read_clip)
+from .synth import GeneratorConfig, generate_dataset, load_split, read_clip
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 1, 2, 3
 
@@ -104,7 +103,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     index = parse_annotations(Path(args.annotations).read_bytes())
     heatmaps = read_heatmaps(args.heatmaps)
-    report = evaluate(index, heatmaps, args.grid_w, args.grid_h)
+    try:
+        report = evaluate(index, heatmaps, args.grid_w, args.grid_h)
+    except MetricError as exc:  # a well-formed file that does not fit the annotations
+        raise MetricError(f"{args.heatmaps}: {exc}") from None
     print(report.to_table(), end="")
     if args.out:
         out = Path(args.out)
@@ -144,7 +146,7 @@ def _draw_box(rgb, box, channel):
 
 
 def cmd_render(args) -> int:
-    video, _, _ = read_clip(args.clip)
+    video, _ = read_clip(args.clip)
     clip_id = Path(args.clip).stem
     heatmaps = read_heatmaps(args.heatmaps)
     index = parse_annotations(Path(args.annotations).read_bytes())
@@ -157,7 +159,7 @@ def cmd_render(args) -> int:
         key = (frame.video_id, frame.frame_index)
         if key not in heatmaps:
             raise MetricError(f"no heatmap for frame {frame.video_id}@{frame.frame_index}")
-        gray = (255 * video[frame.frame_index, :, :, 0]).astype(np.uint8)
+        gray = (255 * np.clip(video[frame.frame_index, :, :, 0], 0.0, 1.0)).astype(np.uint8)
         rgb = np.stack([gray, gray, gray], axis=-1)
         # min-max normalization here is display-only
         hm = minmax_normalize(heatmaps[key]).values
@@ -227,8 +229,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (AnnotationError, MetricError, GeneratorError, ConfigError, ValueError,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:  # every data error subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (T.ShapeError, T.GraphError, AssertionError) as exc:

@@ -253,10 +253,6 @@ class DnmModel:
         v_final = T.transpose(T.reshape(hv, (cfg.feature_dim, cfg.cells)), (1, 0))
         return T.matmul(T.l2_normalize(v_final, axis=1), T.l2_normalize(ha, axis=0))
 
-    @staticmethod
-    def cdf(m_static, m_dynamic):
-        return m_static * m_dynamic
-
     # ------------------------------------------------------------------
     # heads
 
@@ -278,7 +274,7 @@ class DnmModel:
         m_dynamic = None
         if self.config.fusion == "cdf":
             m_dynamic = self.dynamic_fusion(v_seq, a)
-            similarity = self.cdf(m_static, m_dynamic)
+            similarity = m_static * m_dynamic
         else:
             similarity = m_static
         similarity = self.sim_scale.tensor * similarity + self.sim_bias.tensor
@@ -320,6 +316,8 @@ def classification_loss(output: ModelOutput, class_label) -> T.Tensor:
 def label_vector(labels, num_categories) -> np.ndarray:
     vec = np.zeros(num_categories)
     for k in labels:
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < num_categories):
+            raise ConfigError(f"class label {k!r} outside the model's [0, {num_categories})")
         vec[k] = 1.0
     return vec
 
@@ -372,13 +370,11 @@ def _sample_loss(model, clip, num_categories):
     return out, loss
 
 
-def _accuracy(model, clips, rng, num_categories, target=lambda pair: pair.avc_positive):
+def _accuracy(model, clips, rng, num_categories):
     """(avc accuracy over pos+neg pairs, cls accuracy over positives).
 
-    A pair's prediction ``z_avc > 0.5`` is scored against ``target(pair)``.
-    By default that is the loader's flag, which counts every clip with its
-    own audio as a positive, a non-AVE clip too; ``train`` scores against
-    ``avc_target``, the label it fits.
+    A pair's prediction ``z_avc > 0.5`` is scored against ``avc_target``,
+    the label training fits: a non-AVE clip's own audio counts as a negative.
     """
     avc_hits = avc_total = 0
     cls_hits = cls_total = 0
@@ -386,7 +382,7 @@ def _accuracy(model, clips, rng, num_categories, target=lambda pair: pair.avc_po
         for sample in (clip, make_negative_pair(clip, clips, rng)):
             out = model.forward(sample.video, sample.logmel)
             pred = out.z_avc.item() > 0.5
-            avc_hits += int(pred == bool(target(sample)))
+            avc_hits += int(pred == bool(avc_target(sample)))
             avc_total += 1
             if sample.avc_positive and sample.labels:
                 cls_hits += int(int(np.argmax(out.class_logits.data)) in sample.labels)
@@ -436,8 +432,7 @@ def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3
         record = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if val_clips:
             val_rng = np.random.default_rng(np.random.SeedSequence((seed, epoch, 1)))
-            avc_acc, cls_acc = _accuracy(model, val_clips, val_rng, num_categories,
-                                         target=avc_target)
+            avc_acc, cls_acc = _accuracy(model, val_clips, val_rng, num_categories)
             record["val_avc_accuracy"] = avc_acc
             record["val_cls_accuracy"] = cls_acc
             if model.config.mode == "cls":

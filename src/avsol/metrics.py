@@ -9,12 +9,12 @@ heatmaps must not be per-frame normalized before it.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annotation import DatasetIndex, FrameAnnotation, FrameClass, classify_frame, rasterize_boxes
+from .binfile import Reader, Writer
 
 
 class MetricError(ValueError):
@@ -31,7 +31,7 @@ class Heatmap:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
             raise MetricError(f"heatmap must be 2D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise MetricError("heatmap values must be finite")
         object.__setattr__(self, "values", arr)
 
@@ -252,9 +252,7 @@ def evaluate(index: DatasetIndex, heatmaps, grid_w: int, grid_h: int) -> Metrics
 
 
 # ---------------------------------------------------------------------------
-# heatmap file: magic "AVHM", version u16, frame count u32, then per frame
-# video_id length u16 + UTF-8, frame_index u32, width u16, height u16,
-# width*height float32 row-major. All little-endian.
+# heatmap file (AVHM): frame count, then per frame its id, index, size, values
 
 HEATMAP_MAGIC = b"AVHM"
 HEATMAP_VERSION = 1
@@ -263,58 +261,22 @@ HEATMAP_VERSION = 1
 def write_heatmaps(path, entries):
     """entries: iterable of (video_id, frame_index, Heatmap)."""
     entries = list(entries)
-    with open(path, "wb") as fh:
-        fh.write(HEATMAP_MAGIC)
-        fh.write(struct.pack("<HI", HEATMAP_VERSION, len(entries)))
+    with Writer(path, HEATMAP_MAGIC, HEATMAP_VERSION) as out:
+        out.pack("I", len(entries))
         for video_id, frame_index, hm in entries:
-            vid = video_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(vid)))
-            fh.write(vid)
-            fh.write(struct.pack("<IHH", frame_index, hm.width, hm.height))
-            fh.write(np.ascontiguousarray(hm.values, dtype="<f4").tobytes())
+            out.text(video_id)
+            out.pack("IHH", frame_index, hm.width, hm.height)
+            out.array(hm.values, "<f4")
 
 
 def read_heatmaps(path):
-    """Returns mapping (video_id, frame_index) -> Heatmap.
-
-    Every read is length-checked, every value must be finite and the file
-    must end after its last frame; a defect raises MetricError naming the
-    file and the byte offset.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != HEATMAP_MAGIC:
-        raise MetricError(f"{path}: not a heatmap file")
-    off = 4
-
-    def take(size):
-        nonlocal off
-        if len(raw) - off < size:
-            raise MetricError(f"{path}: truncated at byte {off}: "
-                              f"{size} bytes needed, {len(raw) - off} left")
-        off += size
-        return off - size
-
-    version, count = struct.unpack_from("<HI", raw, take(6))
-    if version != HEATMAP_VERSION:
-        raise MetricError(f"{path}: unsupported heatmap file version {version}")
+    """Mapping (video_id, frame_index) -> Heatmap; a defect raises FormatError."""
+    reader = Reader(path, HEATMAP_MAGIC, HEATMAP_VERSION, "heatmap file")
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, take(2))
-        start = take(nlen)
-        try:
-            video_id = raw[start:start + nlen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise MetricError(f"{path}: video id at byte {start} is not UTF-8") from None
-        frame_index, width, height = struct.unpack_from("<IHH", raw, take(8))
-        values_at = take(4 * width * height)
-        vals = np.frombuffer(raw, dtype="<f4", count=width * height, offset=values_at)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise MetricError(f"{path}: non-finite heatmap value in {video_id!r} frame "
-                              f"{frame_index} at byte {values_at + 4 * int(np.argmin(finite))}")
-        out[(video_id, frame_index)] = Heatmap(vals.reshape(height, width).astype(np.float64))
-    if off != len(raw):
-        raise MetricError(f"{path}: {len(raw) - off} unexpected bytes after the last "
-                          f"frame, at byte {off}")
+    for _ in range(reader.unpack("I")[0]):
+        video_id = reader.text("video id")
+        frame_index, width, height = reader.unpack("IHH")
+        out[(video_id, frame_index)] = Heatmap(reader.array(
+            "<f4", (height, width), f"heatmap value in {video_id!r} frame {frame_index}"))
+    reader.end("the last frame")
     return out

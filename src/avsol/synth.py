@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .annotation import (BoundingBox, DatasetIndex, FrameAnnotation, FrameClass,
                          classify_frame, parse_annotations, serialize_annotations)
+from .binfile import Reader, Writer
 
 
 class GeneratorError(ValueError):
@@ -293,50 +293,28 @@ def make_negative_pair(positive: ClipSample, pool, rng) -> ClipSample:
 
 
 # ---------------------------------------------------------------------------
-# on-disk dataset: clip tensors (AVCL), JSON-lines annotations, JSON manifest
+# on-disk dataset: clip tensors (AVCL), JSON-lines annotations, JSON manifest.
+# A clip's labels live only in the manifest.
 
 CLIP_MAGIC = b"AVCL"
-CLIP_VERSION = 1
+CLIP_VERSION = 2
 
 
 def write_clip(path, clip: ClipSample):
-    bitmap = 0
-    for k in clip.labels:
-        bitmap |= 1 << k
-    f, h, w, c = clip.video.shape
-    m, s = clip.logmel.shape
-    with open(path, "wb") as fh:
-        fh.write(CLIP_MAGIC)
-        fh.write(struct.pack("<H", CLIP_VERSION))
-        fh.write(struct.pack("<4H", f, h, w, c))
-        fh.write(np.ascontiguousarray(clip.video, dtype="<f4").tobytes())
-        fh.write(struct.pack("<2H", m, s))
-        fh.write(np.ascontiguousarray(clip.logmel, dtype="<f4").tobytes())
-        fh.write(struct.pack("<I", bitmap))
+    with Writer(path, CLIP_MAGIC, CLIP_VERSION) as out:
+        out.pack("4H", *clip.video.shape)
+        out.array(clip.video, "<f4")
+        out.pack("2H", *clip.logmel.shape)
+        out.array(clip.logmel, "<f4")
 
 
 def read_clip(path):
-    """Returns (video, logmel, labels) with float64 arrays."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CLIP_MAGIC:
-        raise GeneratorError(f"{path}: not a clip file")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != CLIP_VERSION:
-        raise GeneratorError(f"{path}: unsupported clip file version {version}")
-    f, h, w, c = struct.unpack_from("<4H", raw, 6)
-    off = 14
-    video = np.frombuffer(raw, dtype="<f4", count=f * h * w * c,
-                          offset=off).reshape(f, h, w, c).astype(np.float64)
-    off += 4 * f * h * w * c
-    m, s = struct.unpack_from("<2H", raw, off)
-    off += 4
-    logmel = np.frombuffer(raw, dtype="<f4", count=m * s,
-                           offset=off).reshape(m, s).astype(np.float64)
-    off += 4 * m * s
-    (bitmap,) = struct.unpack_from("<I", raw, off)
-    labels = tuple(k for k in range(32) if bitmap >> k & 1)
-    return video, logmel, labels
+    """Returns (video, logmel) as float64 arrays."""
+    reader = Reader(path, CLIP_MAGIC, CLIP_VERSION, "clip file")
+    video = reader.array("<f4", reader.unpack("4H"), "video value")
+    logmel = reader.array("<f4", reader.unpack("2H"), "log-mel value")
+    reader.end("the log-mel grid")
+    return video, logmel
 
 
 def generate_dataset(config: GeneratorConfig, out_dir) -> dict:
@@ -393,9 +371,9 @@ def load_split(dataset_dir, split) -> list:
     clips = []
     for record in manifest["splits"][split]:
         clip_id = record["id"]
-        video, logmel, labels = read_clip(root / "clips" / split / f"{clip_id}.avcl")
+        video, logmel = read_clip(root / "clips" / split / f"{clip_id}.avcl")
         clips.append(ClipSample(
-            clip_id=clip_id, video=video, logmel=logmel, labels=labels,
+            clip_id=clip_id, video=video, logmel=logmel, labels=tuple(record["labels"]),
             frames=tuple(by_video.get(clip_id, ())),
             pattern=FrameClass(record["pattern"]), avc_positive=True))
     return clips

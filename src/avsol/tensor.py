@@ -11,9 +11,10 @@ marks a bug in the calling code rather than bad data.
 from __future__ import annotations
 
 import functools
-import struct
 
 import numpy as np
+
+from .binfile import Reader, Writer
 
 
 class ShapeError(Exception):
@@ -703,66 +704,29 @@ def grad_check(fn, inputs, step=1e-5, component_indices=None):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint I/O: magic "AVWT", version u16, count u32, then per parameter
-# name length u16 + UTF-8 bytes, rank u8, dims u32 each, float64 row-major.
+# checkpoint I/O (AVWT): parameter count, then per parameter name, shape, values
 
 CHECKPOINT_MAGIC = b"AVWT"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
-    pass
-
-
 def save_checkpoint(path, params):
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(params)))
+    with Writer(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as out:
+        out.pack("I", len(params))
         for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<B", p.data.ndim))
-            for d in p.data.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            out.text(p.name)
+            out.pack(f"B{p.data.ndim}I", p.data.ndim, *p.data.shape)
+            out.array(p.data, "<f8")
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    version, count = struct.unpack_from("<HI", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    off = 10
+    """Mapping parameter name -> float64 array; a defect raises FormatError."""
+    reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        out[name] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(dims).copy()
-        off += 8 * n
+    for _ in range(reader.unpack("I")[0]):
+        name = reader.text("parameter name")
+        (rank,) = reader.unpack("B")
+        out[name] = reader.array("<f8", reader.unpack(f"{rank}I"),
+                                 f"value of parameter {name!r}")
+    reader.end("the last parameter")
     return out
-
-
-def restore_checkpoint(path, params):
-    """Load a checkpoint into existing parameters, validating names and shapes."""
-    state = load_checkpoint(path)
-    names = {p.name for p in params}
-    if set(state) != names:
-        missing = sorted(names - set(state))
-        extra = sorted(set(state) - names)
-        raise CheckpointError(f"checkpoint mismatch: missing={missing} unexpected={extra}")
-    for p in params:
-        if state[p.name].shape != p.data.shape:
-            raise CheckpointError(f"parameter {p.name}: checkpoint shape "
-                                  f"{state[p.name].shape} != model shape {p.data.shape}")
-        p.tensor.data = state[p.name]

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -10,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation, classify_frame,
-                              parse_annotations, rasterize_boxes, serialize_annotations)
+from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation, FrameClass,
+                              classify_frame, parse_annotations, rasterize_boxes,
+                              serialize_annotations)
 from avsol import tensor as T
+from avsol.binfile import FormatError
 from avsol.cli import main
 from avsol.dnm import DnmModel
-from avsol.metrics import Heatmap, write_heatmaps
+from avsol.metrics import Heatmap, read_heatmaps, write_heatmaps
+from avsol.synth import ClipSample, write_clip
 
 
 def run(capsys, *argv):
@@ -210,6 +215,154 @@ class TestHeatmapFileDefects:
                 in err)
 
 
+NAMES_AN_OFFSET = re.compile(r" at byte \d+")
+
+
+def small_render_files(root):
+    """A 2-frame 4x4 clip "c" (a 162-byte AVCL file), its annotations and
+    2x2 heatmaps."""
+    root = Path(root)
+    rng = np.random.default_rng(3)
+    frames = tuple(FrameAnnotation(video_id="c", frame_index=t, width=4, height=4, boxes=(
+        BoundingBox(x_min=0, y_min=0, x_max=2, y_max=2, sounding=True,
+                    out_of_view=False, category="c"),)) for t in range(2))
+    clip = root / "c.avcl"
+    write_clip(clip, ClipSample(clip_id="c", video=rng.random((2, 4, 4, 1)),
+                                logmel=rng.random((2, 2)), labels=(0,), frames=frames,
+                                pattern=FrameClass.AVE_SINGLE))
+    annotations = root / "ann.jsonl"
+    annotations.write_bytes(serialize_annotations(DatasetIndex.from_frames(frames)))
+    maps = root / "maps.avhm"
+    write_heatmaps(maps, [("c", t, Heatmap(rng.random((2, 2)))) for t in range(2)])
+    return clip, annotations, maps
+
+
+def render_exit_code(clip, annotations, maps):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["render", "--clip", str(clip), "--heatmaps", str(maps),
+                     "--annotations", str(annotations),
+                     "--out", str(Path(clip).parent / "frames")])
+    return code, err.getvalue()
+
+
+class TestClipFileDefects:
+    """Every defect of a clip file exits 2 naming the file and a byte offset."""
+
+    def assert_data_error(self, clip, code, err):
+        assert code == 2
+        assert f"{clip}: " in err
+        assert NAMES_AN_OFFSET.search(err), err
+
+    def test_intact_small_file_renders(self, tmp_path):
+        clip, annotations, maps = small_render_files(tmp_path)
+        assert len(clip.read_bytes()) == 162
+        assert render_exit_code(clip, annotations, maps)[0] == 0
+        assert len(list((tmp_path / "frames").glob("*.ppm"))) == 2
+
+    def test_every_truncation(self, tmp_path):
+        clip, annotations, maps = small_render_files(tmp_path)
+        blob = clip.read_bytes()
+        for cut in range(len(blob)):
+            clip.write_bytes(blob[:cut])
+            self.assert_data_error(clip, *render_exit_code(clip, annotations, maps))
+
+    @settings(max_examples=50, deadline=None)
+    @given(tail=st.binary(min_size=1, max_size=64))
+    def test_appended_bytes(self, tail):
+        with tempfile.TemporaryDirectory() as root:
+            clip, annotations, maps = small_render_files(root)
+            clip.write_bytes(clip.read_bytes() + tail)
+            code, err = render_exit_code(clip, annotations, maps)
+        self.assert_data_error(clip, code, err)
+        assert "unexpected bytes after the log-mel grid" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            clip, annotations, maps = small_render_files(root)
+            blob = bytearray(clip.read_bytes())
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] ^= data.draw(st.integers(1, 255))
+            clip.write_bytes(bytes(blob))
+            code, err = render_exit_code(clip, annotations, maps)
+        if code != 0:  # a flipped video or log-mel value may still be a finite float
+            self.assert_data_error(clip, code, err)
+
+    def test_non_finite_value_names_its_offset(self, tmp_path):
+        clip, annotations, maps = small_render_files(tmp_path)
+        blob = bytearray(clip.read_bytes())
+        blob[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        clip.write_bytes(bytes(blob))
+        code, err = render_exit_code(clip, annotations, maps)
+        assert code == 2
+        assert f"{clip}: non-finite log-mel value at byte 158" in err
+
+
+class TestHeatmapFileByteFlips:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, data):
+        """A malformed file exits 2 naming it and a byte offset. A flip that
+        leaves the file well-formed (a frame index, a video id or a value
+        changed) exits 0, or 2 naming the file when its frames no longer
+        match the annotations."""
+        with tempfile.TemporaryDirectory() as root:
+            annotations, maps = small_eval_files(root)
+            blob = bytearray(maps.read_bytes())
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] ^= data.draw(st.integers(1, 255))
+            maps.write_bytes(bytes(blob))
+            code, err = eval_exit_code(annotations, maps)
+            try:
+                read_heatmaps(maps)
+                well_formed = True
+            except FormatError:
+                well_formed = False
+        assert code in (0, 2)
+        if code == 2:
+            assert f"{maps}: " in err
+        if not well_formed:
+            assert code == 2 and NAMES_AN_OFFSET.search(err), err
+
+    def test_frames_that_miss_the_annotations_name_the_file(self, tmp_path):
+        annotations, maps = small_eval_files(tmp_path)
+        write_heatmaps(maps, [("w", 0, Heatmap(np.zeros((2, 2))))])
+        code, err = eval_exit_code(annotations, maps)
+        assert code == 2
+        assert f"{maps}: missing heatmaps for frames: v@0" in err
+
+
+class TestClassLabels:
+    @pytest.mark.parametrize("label", [4, -1])
+    def test_label_outside_the_model_categories_is_a_data_error(
+            self, dataset, tmp_path, capsys, label):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"]["train"][0]["labels"] = [label]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"class label {label} outside the model's [0, 4)" in err
+
+    def test_forty_categories_train(self, tmp_path, capsys):
+        config = tmp_path / "forty.json"
+        config.write_text(json.dumps({"num_categories": 40, "clips_per_split":
+                                      {"train": 4, "val": 2, "test": 2}}))
+        assert run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "ds"))[0] == 0
+        labels = [label for r in json.loads((tmp_path / "ds" / "manifest.json").read_text())
+                  ["splits"]["train"] for label in r["labels"]]
+        assert max(labels) >= 32
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"num_categories": 40, "fusion": "static"}))
+        code, _, _ = run(capsys, "train", "--dataset", str(tmp_path / "ds"), "--model-config",
+                         str(model), "--epochs", "1", "--out", str(tmp_path / "run"))
+        assert code == 0
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "2")
@@ -249,10 +402,10 @@ class TestExitCodes:
 
     def test_shape_bug_in_model_code_is_an_internal_error(self, dataset, tmp_path, capsys,
                                                           monkeypatch):
-        def broken_cdf(m_static, m_dynamic):
-            return T.mul(m_static, T.Tensor(np.ones(3)))
+        def broken_dynamic_fusion(self, v_seq, a):
+            return T.Tensor(np.ones(3))
 
-        monkeypatch.setattr(DnmModel, "cdf", staticmethod(broken_cdf))
+        monkeypatch.setattr(DnmModel, "dynamic_fusion", broken_dynamic_fusion)
         code, _, err = run(capsys, "train", "--dataset", str(dataset), "--epochs", "1",
                            "--out", str(tmp_path / "run"))
         assert code == 3

@@ -166,17 +166,14 @@ class TestFusion:
 
         assert T.grad_check(fn, gru_params) <= 1e-4
 
-    def test_cdf_is_the_elementwise_product(self):
-        rng = np.random.default_rng(8)
-        s, d = rng.normal(size=(2, 8))
-        got = DnmModel.cdf(T.Tensor(s), T.Tensor(d)).data
-        for i in range(8):
-            assert got[i] == s[i] * d[i]
-
-    def test_all_ones_dynamic_path_reduces_cdf_to_static(self):
-        rng = np.random.default_rng(9)
-        s = T.Tensor(rng.normal(size=9))
-        assert np.array_equal(DnmModel.cdf(s, T.Tensor(np.ones(9))).data, s.data)
+    def test_cdf_similarity_is_the_scaled_elementwise_product(self):
+        config = tiny()
+        model = DnmModel(config, seed=8)
+        model.sim_bias.tensor.data = np.array([0.3])
+        out = model.forward(*random_inputs(np.random.default_rng(8), config))
+        product = out.m_static.data * out.m_dynamic.data
+        expected = model.sim_scale.data * product + model.sim_bias.data
+        assert np.array_equal(out.similarity.data, expected)
 
 
 class TestHeads:
@@ -280,6 +277,11 @@ class TestLoss:
     def test_label_vector(self):
         assert np.array_equal(label_vector((0, 2), 4), [1, 0, 1, 0])
 
+    @pytest.mark.parametrize("label", [4, -1, 1.0, "1"])
+    def test_label_outside_the_categories_is_a_config_error(self, label):
+        with pytest.raises(ConfigError, match=f"class label {label!r} outside the model's"):
+            label_vector((0, label), 4)
+
 
 def tiny_default(**overrides):
     """The default model shape with the smallest encoders, for training tests."""
@@ -335,11 +337,9 @@ class TestAvcTarget:
                                        class_logits=T.Tensor(np.zeros(4)))
 
         clips = [self.clip_of(FrameClass.AVE_SINGLE, 0), self.clip_of(FrameClass.NON_AVE_NOISE, 1)]
-        # the loader's flag counts both own-audio pairs as positives
-        assert dnm._accuracy(Silent(), clips, np.random.default_rng(0), 4)[0] == 0.5
-        # against avc_target only the event clip's own audio is a positive
-        assert dnm._accuracy(Silent(), clips, np.random.default_rng(0), 4,
-                             target=avc_target)[0] == 0.75
+        # only the event clip's own audio is a positive, as in training; the
+        # non-event clip's own audio is a negative the silent model gets right
+        assert dnm._accuracy(Silent(), clips, np.random.default_rng(0), 4)[0] == 0.75
 
 
 class TestTraining:

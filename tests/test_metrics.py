@@ -3,6 +3,7 @@ import pytest
 
 from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation,
                               FrameClass, classify_frame, rasterize_boxes)
+from avsol.binfile import FormatError
 from avsol.metrics import (EvalFrame, Heatmap, MetricError, evaluate,
                            hmbox_auc, minmax_normalize, pibr, pnsr,
                            precision_recall_at, read_heatmaps, write_heatmaps)
@@ -416,5 +417,5 @@ class TestHeatmapFile:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.avhm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(MetricError, match="not a heatmap file"):
+        with pytest.raises(FormatError, match="not a heatmap file"):
             read_heatmaps(path)

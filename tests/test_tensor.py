@@ -228,17 +228,7 @@ class TestCheckpoint:
         state = T.load_checkpoint(path)
         assert set(state) == {"a", "b"}
         assert np.array_equal(state["a"], params[0].data)
-        fresh = [T.Parameter("a", np.zeros((2, 3))), T.Parameter("b", np.zeros(4))]
-        T.restore_checkpoint(path, fresh)
-        assert np.array_equal(fresh[1].data, params[1].data)
-
-    def test_shape_mismatch_detected(self, tmp_path):
-        path = tmp_path / "ck.avwt"
-        T.save_checkpoint(path, [T.Parameter("a", np.zeros((2, 3)))])
-        with pytest.raises(T.CheckpointError):
-            T.restore_checkpoint(path, [T.Parameter("a", np.zeros((3, 2)))])
-        with pytest.raises(T.CheckpointError):
-            T.restore_checkpoint(path, [T.Parameter("other", np.zeros((2, 3)))])
+        assert np.array_equal(state["b"], params[1].data)
 
 
 def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
