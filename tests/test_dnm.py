@@ -166,13 +166,23 @@ class TestFusion:
 
         assert T.grad_check(fn, gru_params) <= 1e-4
 
-    def test_cdf_similarity_is_the_scaled_elementwise_product(self):
+    def test_cdf_is_the_elementwise_product(self):
         config = tiny()
         model = DnmModel(config, seed=8)
         model.sim_bias.tensor.data = np.array([0.3])
         out = model.forward(*random_inputs(np.random.default_rng(8), config))
         product = out.m_static.data * out.m_dynamic.data
         expected = model.sim_scale.data * product + model.sim_bias.data
+        assert np.array_equal(out.similarity.data, expected)
+
+    def test_all_ones_dynamic_path_reduces_cdf_to_static(self, monkeypatch):
+        config = tiny()
+        model = DnmModel(config, seed=9)
+        model.sim_bias.tensor.data = np.array([0.3])
+        monkeypatch.setattr(model, "dynamic_fusion",
+                            lambda v, a: T.Tensor(np.ones(9)))
+        out = model.forward(*random_inputs(np.random.default_rng(9), config))
+        expected = model.sim_scale.data * out.m_static.data + model.sim_bias.data
         assert np.array_equal(out.similarity.data, expected)
 
 
