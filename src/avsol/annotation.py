@@ -7,7 +7,6 @@ is represented by a dummy full-frame box tagged out_of_view.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,14 +66,6 @@ class DatasetIndex:
     def from_frames(frames) -> "DatasetIndex":
         ordered = tuple(sorted(frames, key=lambda f: (f.video_id, f.frame_index)))
         return DatasetIndex(frames=ordered)
-
-    @property
-    def total_frames(self) -> int:
-        return len(self.frames)
-
-    def ave_frame_numbers(self) -> set[int]:
-        """1-based numbers of frames with at least one in-view sounding box."""
-        return {j for j, f in enumerate(self.frames, start=1) if f.in_view_sounding_boxes()}
 
 
 def classify_frame(frame: FrameAnnotation) -> FrameClass:
@@ -153,10 +144,10 @@ _FRAME_KEYS = {"video_id", "frame_index", "width", "height", "boxes"}
 _BOX_KEYS = {"x_min", "y_min", "x_max", "y_max", "sounding", "out_of_view", "category"}
 
 
-def _parse_box(obj, line_no, lenient):
+def _parse_box(obj, line_no):
     if not isinstance(obj, dict):
         raise AnnotationError(f"line {line_no}: box entry is not an object")
-    _check_keys(obj, _BOX_KEYS, line_no, lenient, "box")
+    _check_keys(obj, _BOX_KEYS, line_no, "box")
     try:
         return BoundingBox(
             x_min=float(obj["x_min"]),
@@ -177,17 +168,13 @@ def _require_bool(value, line_no, field):
     return value
 
 
-def _check_keys(obj, allowed, line_no, lenient, what):
+def _check_keys(obj, allowed, line_no, what):
     unknown = set(obj) - allowed
     if unknown:
-        msg = f"line {line_no}: unknown {what} fields {sorted(unknown)}"
-        if lenient:
-            warnings.warn(msg)
-        else:
-            raise AnnotationError(msg)
+        raise AnnotationError(f"line {line_no}: unknown {what} fields {sorted(unknown)}")
 
 
-def parse_annotations(data: bytes, lenient: bool = False) -> DatasetIndex:
+def parse_annotations(data: bytes) -> DatasetIndex:
     """Parse JSON-lines annotation content and validate every invariant."""
     frames = []
     for line_no, line in enumerate(data.decode("utf-8").splitlines(), start=1):
@@ -199,7 +186,7 @@ def parse_annotations(data: bytes, lenient: bool = False) -> DatasetIndex:
             raise AnnotationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
         if not isinstance(obj, dict):
             raise AnnotationError(f"line {line_no}: record is not an object")
-        _check_keys(obj, _FRAME_KEYS, line_no, lenient, "record")
+        _check_keys(obj, _FRAME_KEYS, line_no, "record")
         missing = _FRAME_KEYS - set(obj)
         if missing:
             raise AnnotationError(f"line {line_no}: missing fields {sorted(missing)}")
@@ -210,7 +197,7 @@ def parse_annotations(data: bytes, lenient: bool = False) -> DatasetIndex:
             frame_index=int(obj["frame_index"]),
             width=int(obj["width"]),
             height=int(obj["height"]),
-            boxes=tuple(_parse_box(b, line_no, lenient) for b in obj["boxes"]),
+            boxes=tuple(_parse_box(b, line_no) for b in obj["boxes"]),
         ))
     index = DatasetIndex.from_frames(frames)
     problems = validate(index)

@@ -185,15 +185,15 @@ class DnmModel:
             raise ConfigError(f"clip shape {clip.shape} does not match the model config, "
                               f"which expects {expected}")
         x = T.Tensor(np.transpose(clip, (3, 0, 1, 2)))  # (1, frames, H, W)
-        h1 = T.tanh(T.conv3d(x, self.v_conv1_w.tensor, self.v_conv1_b.tensor))
-        h2 = T.tanh(T.conv3d(h1, self.v_conv2_w.tensor, self.v_conv2_b.tensor))
+        h1 = T.tanh(T.conv3d(x, self.v_conv1_w, self.v_conv1_b))
+        h2 = T.tanh(T.conv3d(h1, self.v_conv2_w, self.v_conv2_b))
         tpool = cfg.frames_per_clip // cfg.time_steps
         sy = cfg.frame_height // cfg.grid_h
         sx = cfg.frame_width // cfg.grid_w
         v4 = T.avg_pool(h2, (1, tpool, sy, sx))          # (D, T, gh, gw)
         v_seq = T.transpose(v4, (1, 0, 2, 3))            # (T, D, gh, gw)
 
-        c1 = T.tanh(T.conv3d(h1, self.cls_conv_w.tensor, self.cls_conv_b.tensor))
+        c1 = T.tanh(T.conv3d(h1, self.cls_conv_w, self.cls_conv_b))
         c2 = T.avg_pool(c1, (1, cfg.frames_per_clip, sy, sx))   # (D', 1, gh, gw)
         v_cls = T.transpose(T.reshape(c2, (cfg.cls_feature_dim, cfg.cells)), (1, 0))
         return v_seq, v_cls
@@ -211,8 +211,8 @@ class DnmModel:
             raise ConfigError(f"log-mel shape {logmel.shape} does not match the model "
                               f"config, which expects {expected}")
         x = T.Tensor((logmel - logmel.mean(axis=1, keepdims=True))[None])  # (1, mel, steps)
-        h1 = T.tanh(T.conv2d(x, self.a_conv1_w.tensor, self.a_conv1_b.tensor))
-        h2 = T.tanh(T.conv2d(h1, self.a_conv2_w.tensor, self.a_conv2_b.tensor))
+        h1 = T.tanh(T.conv2d(x, self.a_conv1_w, self.a_conv1_b))
+        h2 = T.tanh(T.conv2d(h1, self.a_conv2_w, self.a_conv2_b))
         pooled = T.mean(h2, axis=1)                      # (D, steps)
         spool = cfg.audio_steps // cfg.time_steps
         return T.transpose(T.avg_pool(pooled, (1, spool)), (1, 0))
@@ -237,7 +237,7 @@ class DnmModel:
         return T.matmul(T.l2_normalize(v, axis=1), T.l2_normalize(a, axis=0))
 
     def _gates(self, prefix):
-        return [getattr(self, f"{prefix}_{gate}_{part}").tensor
+        return [getattr(self, f"{prefix}_{gate}_{part}")
                 for gate in ("update", "reset", "cand") for part in ("w", "b")]
 
     def dynamic_fusion(self, v_seq, a):
@@ -264,7 +264,7 @@ class DnmModel:
     def global_attend(self, similarity, v_cls):
         w_att = T.softmax(similarity, axis=0)
         v_att = T.matmul(w_att, v_cls)
-        logits = T.matmul(v_att, self.fc_w.tensor) + self.fc_b.tensor
+        logits = T.matmul(v_att, self.fc_w) + self.fc_b
         return w_att, v_att, logits
 
     def forward(self, clip: np.ndarray, logmel: np.ndarray) -> ModelOutput:
@@ -277,7 +277,7 @@ class DnmModel:
             similarity = m_static * m_dynamic
         else:
             similarity = m_static
-        similarity = self.sim_scale.tensor * similarity + self.sim_bias.tensor
+        similarity = self.sim_scale * similarity + self.sim_bias
         m_loc, z_avc = self.local_normalize(similarity)
         w_att, v_att, logits = self.global_attend(similarity, v_cls)
         return ModelOutput(similarity=similarity, m_static=m_static, m_dynamic=m_dynamic,
@@ -391,7 +391,7 @@ def _accuracy(model, clips, rng, num_categories):
 
 
 def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3,
-          val_clips=None, select_best: bool = True) -> TrainResult:
+          val_clips=None) -> TrainResult:
     """Seeded training loop: fresh negatives each epoch, Adam updates.
 
     Each clip is seen with its own audio and, except in cls-only mode, with a
@@ -424,7 +424,7 @@ def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3
             # backward only resets the gradients it reaches; a head the loss
             # leaves out must not replay the previous sample's gradient
             for p in params:
-                p.tensor.grad = None
+                p.grad = None
             T.backward(loss)
             T.adam_step(params, lr=lr)
             losses.append(loss.item())
@@ -441,7 +441,7 @@ def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3
                 score = avc_acc
             else:
                 score = 0.5 * (avc_acc + cls_acc)
-            if select_best and score > best_score:
+            if score > best_score:
                 best_score = score
                 best_state = [p.data.copy() for p in model.parameters()]
                 result.best_epoch = epoch
@@ -449,7 +449,7 @@ def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3
 
     if best_state is not None:
         for p, data in zip(model.parameters(), best_state):
-            p.tensor.data = data
+            p.data = data
     return result
 
 

@@ -51,26 +51,14 @@ class EvalFrame:
     frame_class: FrameClass
 
 
-def _check_mask(heatmap: Heatmap, mask: np.ndarray, require_foreground=True):
+def _check_mask(heatmap: Heatmap, mask: np.ndarray):
     mask = np.asarray(mask)
     if mask.shape != heatmap.values.shape:
         raise MetricError(f"mask shape {mask.shape} != heatmap shape {heatmap.values.shape}")
     mask = mask.astype(bool)
-    if require_foreground and not mask.any():
+    if not mask.any():
         raise MetricError("mask has no foreground cells")
     return mask
-
-
-def precision_recall_at(heatmap: Heatmap, mask: np.ndarray, tau: float):
-    """(precision, recall) at one threshold; precision is None when nothing is selected."""
-    mask = _check_mask(heatmap, mask)
-    selected = heatmap.values >= tau
-    n_sel = int(selected.sum())
-    tp = int((selected & mask).sum())
-    recall = tp / int(mask.sum())
-    if n_sel == 0:
-        return None, 0.0
-    return tp / n_sel, recall
 
 
 def hmbox_auc(heatmap: Heatmap, mask: np.ndarray) -> float:

@@ -319,9 +319,9 @@ def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
     convolution (a ConvGRU); for a (D,) state it is a (D, 2D) matrix.
 
     Forward and backward evaluate the numpy expressions of the composition
-    of concat, conv2d or matmul, add, sigmoid, tanh and mul in the same
-    order, gradients accumulated as that graph accumulates them, so the
-    results are bit-identical to it.
+    of stacking [x; h], conv2d or matmul, add, sigmoid, tanh and mul in the
+    same order, gradients accumulated as that graph accumulates them, so
+    the results are bit-identical to it.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     wu, bu, wr, br, wc, bc = (_as_tensor(t) for t in
@@ -544,32 +544,6 @@ def bce_loss(pred, target):
 # layout ops
 
 
-OP_REGISTRY["concat"] = "concatenation along one axis"
-
-
-def concat(tensors, axis):
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.data.ndim != len(ref) or any(
-                i != axis and a != b for i, (a, b) in enumerate(zip(t.shape, ref))):
-            raise ShapeError(f"concat: shape {t.shape} incompatible with {ref} along axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def rule(g):
-        start = 0
-        for t, n in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + n)
-            _accum(t, g[tuple(sl)])
-            start += n
-
-    return _node(out, tuple(tensors), "concat", rule)
-
-
 OP_REGISTRY["reshape"] = "reshape preserving row-major order"
 
 
@@ -622,40 +596,24 @@ def take(x, index):
 # parameters / optimizer
 
 
-class Parameter:
+class Parameter(Tensor):
     """Named trainable tensor with Adam moment accumulators."""
 
     def __init__(self, name, data):
+        super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
         self.name = name
-        self.tensor = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.step_count = 0
 
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != self.tensor.data.shape:
-            raise ShapeError(f"parameter {self.name}: cannot assign shape {value.shape} "
-                             f"to {self.tensor.data.shape}")
-        self.tensor.data = value
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def adam_step(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """One Adam update with bias correction. Parameters without a gradient are left untouched."""
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         if g is None:
             continue
         if g.shape != p.data.shape:
@@ -665,7 +623,7 @@ def adam_step(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         p.v = beta2 * p.v + (1.0 - beta2) * g * g
         m_hat = p.m / (1.0 - beta1 ** p.step_count)
         v_hat = p.v / (1.0 - beta2 ** p.step_count)
-        p.tensor.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_criterion_5_head_contracts():
         loss = multitask_loss(model.forward(clip, logmel), 0)
         T.backward(loss)
         for p in model.classification_parameters():
-            ok &= p.tensor.grad is None or not p.tensor.grad.any()
+            ok &= p.grad is None or not p.grad.any()
     verdict("criterion 5: head contracts on 100 random forwards", ok)
 
 

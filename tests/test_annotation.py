@@ -56,11 +56,6 @@ class TestClassify:
             FrameClass.NON_AVE_NOISE: 1,
         }
 
-    def test_ave_frame_numbers_are_one_based_in_sorted_order(self):
-        index = ten_frame_fixture()
-        # sorted order interleaves v0 then v1; frames 1,2 are v0@0 and v0@1
-        assert index.ave_frame_numbers() == {1, 2, 6, 7}
-
     def test_is_ave_flag(self):
         assert FrameClass.AVE_SINGLE.is_ave
         assert FrameClass.AVE_MULTI.is_ave
@@ -137,15 +132,13 @@ class TestParse:
         with pytest.raises(AnnotationError, match="line 4"):
             parse_annotations(data)
 
-    def test_unknown_field_rejected_strict_warned_lenient(self):
+    def test_unknown_field_rejected(self):
         record = json.loads(serialize_annotations(ten_frame_fixture()).decode()
                             .splitlines()[0])
         record["extra"] = 1
         data = (json.dumps(record) + "\n").encode()
         with pytest.raises(AnnotationError, match="unknown"):
             parse_annotations(data)
-        with pytest.warns(UserWarning, match="extra"):
-            parse_annotations(data, lenient=True)
 
     def test_missing_field_rejected(self):
         record = json.loads(serialize_annotations(ten_frame_fixture()).decode()

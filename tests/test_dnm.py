@@ -138,13 +138,13 @@ class TestFusion:
             return T.Tensor(w.data[:, :4])
 
         x = T.Tensor(v[0])
-        zc = T.sigmoid(T.conv2d(x, half(model.cgru_update_w), model.cgru_update_b.tensor))
-        nc = T.tanh(T.conv2d(x, half(model.cgru_cand_w), model.cgru_cand_b.tensor))
+        zc = T.sigmoid(T.conv2d(x, half(model.cgru_update_w), model.cgru_update_b))
+        nc = T.tanh(T.conv2d(x, half(model.cgru_cand_w), model.cgru_cand_b))
         hv = (zc.data * nc.data).reshape(4, 9)
 
         xa = T.Tensor(a[0])
-        za = T.sigmoid(T.matmul(half(model.gru_update_w), xa) + model.gru_update_b.tensor)
-        na = T.tanh(T.matmul(half(model.gru_cand_w), xa) + model.gru_cand_b.tensor)
+        za = T.sigmoid(T.matmul(half(model.gru_update_w), xa) + model.gru_update_b)
+        na = T.tanh(T.matmul(half(model.gru_cand_w), xa) + model.gru_cand_b)
         ha = za.data * na.data
 
         expected = (hv.T @ ha) / (np.linalg.norm(hv, axis=0) * np.linalg.norm(ha))
@@ -157,7 +157,7 @@ class TestFusion:
         v = rng.normal(size=(2, 4, 3, 3))
         a = rng.normal(size=(2, 4))
         w = T.Tensor(rng.uniform(0.5, 1.5, size=9))
-        gru_params = [p.tensor for p in model.parameters() if "gru" in p.name]
+        gru_params = [p for p in model.parameters() if "gru" in p.name]
         for p in gru_params:
             p.data = p.data + rng.uniform(-0.05, 0.05, size=p.data.shape)
 
@@ -169,7 +169,7 @@ class TestFusion:
     def test_cdf_is_the_elementwise_product(self):
         config = tiny()
         model = DnmModel(config, seed=8)
-        model.sim_bias.tensor.data = np.array([0.3])
+        model.sim_bias.data = np.array([0.3])
         out = model.forward(*random_inputs(np.random.default_rng(8), config))
         product = out.m_static.data * out.m_dynamic.data
         expected = model.sim_scale.data * product + model.sim_bias.data
@@ -178,7 +178,7 @@ class TestFusion:
     def test_all_ones_dynamic_path_reduces_cdf_to_static(self, monkeypatch):
         config = tiny()
         model = DnmModel(config, seed=9)
-        model.sim_bias.tensor.data = np.array([0.3])
+        model.sim_bias.data = np.array([0.3])
         monkeypatch.setattr(model, "dynamic_fusion",
                             lambda v, a: T.Tensor(np.ones(9)))
         out = model.forward(*random_inputs(np.random.default_rng(9), config))
@@ -279,10 +279,10 @@ class TestLoss:
         loss = multitask_loss(model.forward(*random_inputs(rng, config)), 0)
         T.backward(loss)
         for p in model.classification_parameters():
-            assert p.tensor.grad is None or not p.tensor.grad.any()
+            assert p.grad is None or not p.grad.any()
         # the correspondence path did receive gradient
-        assert model.v_conv1_w.tensor.grad is not None
-        assert model.v_conv1_w.tensor.grad.any()
+        assert model.v_conv1_w.grad is not None
+        assert model.v_conv1_w.grad.any()
 
     def test_label_vector(self):
         assert np.array_equal(label_vector((0, 2), 4), [1, 0, 1, 0])
@@ -358,7 +358,7 @@ class TestTraining:
         decreased = 0
         for seed in range(3):
             model = DnmModel(ModelConfig(fusion="static"), seed=seed)
-            result = train(model, clips, epochs=3, seed=seed, select_best=False)
+            result = train(model, clips, epochs=3, seed=seed)
             losses = [r["train_loss"] for r in result.log]
             decreased += losses[-1] < losses[0]
         assert decreased >= 2
@@ -368,7 +368,7 @@ class TestTraining:
 
         def run():
             model = DnmModel(ModelConfig(fusion="static"), seed=3)
-            train(model, clips, epochs=1, seed=3, select_best=False)
+            train(model, clips, epochs=1, seed=3)
             return [p.data.copy() for p in model.parameters()]
 
         for a, b in zip(run(), run()):
@@ -395,7 +395,7 @@ class TestTraining:
                               for p in cls_params])
 
         monkeypatch.setattr(T, "adam_step", recording_step)
-        train(model, clips, epochs=1, seed=7, select_best=False)
+        train(model, clips, epochs=1, seed=7)
         assert len(snapshots) == 4
         after_positive, after_negative = snapshots[0], snapshots[1]
         for (d0, m0, v0, n0), (d1, m1, v1, n1) in zip(after_positive, after_negative):
@@ -407,7 +407,7 @@ class TestTraining:
     def test_cls_mode_trains_without_negatives(self):
         clips = small_clip_set(6)
         model = DnmModel(ModelConfig(fusion="static", mode="cls"), seed=5)
-        result = train(model, clips, epochs=1, seed=5, select_best=False)
+        result = train(model, clips, epochs=1, seed=5)
         assert len(result.log) == 1
 
     def test_predict_heatmaps_covers_every_frame(self):

@@ -6,7 +6,7 @@ from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation,
 from avsol.binfile import FormatError
 from avsol.metrics import (EvalFrame, Heatmap, MetricError, evaluate,
                            hmbox_auc, minmax_normalize, pibr, pnsr,
-                           precision_recall_at, read_heatmaps, write_heatmaps)
+                           read_heatmaps, write_heatmaps)
 
 # ---------------------------------------------------------------------------
 # independent oracles, written before the implementations they check
@@ -117,38 +117,6 @@ def random_eval_frame(rng, size, ave=True):
     return eval_frame(ann, rng.random((size, size)))
 
 
-class TestPrecisionRecall:
-    def test_perfect_indicator_map(self):
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[1:3, 1:3] = True
-        assert precision_recall_at(Heatmap(mask.astype(float)), mask, 0.5) == (1.0, 1.0)
-
-    def test_uniform_map_selects_everything(self):
-        mask = np.zeros((10, 10), dtype=bool)
-        mask[:5, :5] = True
-        p, r = precision_recall_at(Heatmap(np.full((10, 10), 0.5)), mask, 0.5)
-        assert (p, r) == (0.25, 1.0)
-
-    def test_ramp_map_against_enumeration(self):
-        # cells at or above 0.5 are k = 8..15, the bottom two rows
-        h = Heatmap(np.arange(16).reshape(4, 4) / 16.0)
-        top_left = np.zeros((4, 4), dtype=bool)
-        top_left[:2, :2] = True
-        assert precision_recall_at(h, top_left, 0.5) == (0.0, 0.0)
-        # a 4-cell mask holding exactly one selected cell (k = 8)
-        one_hit = np.zeros((4, 4), dtype=bool)
-        one_hit.ravel()[[5, 6, 7, 8]] = True
-        assert precision_recall_at(h, one_hit, 0.5) == (1 / 8, 1 / 4)
-
-    def test_empty_selection_sentinel(self):
-        mask = np.ones((3, 3), dtype=bool)
-        assert precision_recall_at(Heatmap(np.zeros((3, 3))), mask, 2.0) == (None, 0.0)
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(MetricError):
-            precision_recall_at(Heatmap(np.ones((3, 3))), np.zeros((3, 3)), 0.5)
-
-
 class TestHmBoxAuc:
     def test_indicator_heatmap_is_one(self):
         rng = np.random.default_rng(0)
@@ -162,6 +130,10 @@ class TestHmBoxAuc:
         mask = np.zeros((8, 8), dtype=bool)
         mask[:4, :4] = True
         assert hmbox_auc(Heatmap(np.full((8, 8), 0.7)), mask) == pytest.approx(0.25, abs=1e-12)
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(MetricError, match="no foreground"):
+            hmbox_auc(Heatmap(np.ones((3, 3))), np.zeros((3, 3)))
 
     def test_matches_riemann_oracle_on_random_maps(self):
         # the coarse grid carries collision noise, so it is held to the mean;
