@@ -12,7 +12,6 @@ forward pass is gradient-checkable.
 """
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -86,7 +85,7 @@ class ModelOutput:
     m_static: T.Tensor
     m_dynamic: T.Tensor | None  # None in static fusion
     m_loc: T.Tensor             # sigmoid per cell
-    z_avc: T.Tensor             # global max of m_loc
+    z_avc: T.Tensor             # global max of m_loc: sigmoid of the correspondence logit
     w_att: T.Tensor             # softmax over cells
     v_att: T.Tensor
     class_logits: T.Tensor
@@ -292,25 +291,24 @@ class DnmModel:
 
 
 def multitask_loss(output: ModelOutput, avc_label: int, class_label=None) -> T.Tensor:
-    """BCE on the correspondence score plus, for positives only, per-class BCE.
+    """BCE on the correspondence logit max(similarity), whose sigmoid is
+    z_avc, plus, for positives only, per-class BCE on the class logits.
 
     avc_label is the pair's ``avc_target``: 1 for an event clip with its own
     audio, 0 for a mismatched pair or a non-event clip. The classification
     term is omitted entirely for label 0, so its parameters receive exactly
     zero gradient from such a pair.
     """
-    if avc_label not in (0, 1):
-        raise ValueError(f"avc_label must be 0 or 1, got {avc_label}")
-    avc_term = T.bce_loss(output.z_avc, np.float64(avc_label))
+    avc_term = T.bce_loss(T.max_global(output.similarity), np.float64(avc_label))
     if avc_label == 0:
         return avc_term
     if class_label is None:
         raise ValueError("class_label required for a positive pair")
-    return avc_term + T.bce_loss(T.sigmoid(output.class_logits), class_label)
+    return avc_term + T.bce_loss(output.class_logits, class_label)
 
 
 def classification_loss(output: ModelOutput, class_label) -> T.Tensor:
-    return T.bce_loss(T.sigmoid(output.class_logits), class_label)
+    return T.bce_loss(output.class_logits, class_label)
 
 
 def label_vector(labels, num_categories) -> np.ndarray:
@@ -361,7 +359,7 @@ def _sample_loss(model, clip, num_categories):
     avc_label = avc_target(clip)
     mode = model.config.mode
     if mode == "avc":
-        loss = T.bce_loss(out.z_avc, np.float64(avc_label))
+        loss = T.bce_loss(T.max_global(out.similarity), np.float64(avc_label))
     elif mode == "cls":
         loss = classification_loss(out, label_vector(clip.labels, num_categories))
     else:

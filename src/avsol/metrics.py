@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .annotation import DatasetIndex, FrameAnnotation, FrameClass, classify_frame, rasterize_boxes
-from .binfile import Reader, Writer
+from .binfile import FormatError, Reader, Writer
 
 
 class MetricError(ValueError):
@@ -262,8 +262,12 @@ def read_heatmaps(path):
     reader = Reader(path, HEATMAP_MAGIC, HEATMAP_VERSION, "heatmap file")
     out = {}
     for _ in range(reader.unpack("I")[0]):
+        start = reader.offset
         video_id = reader.text("video id")
         frame_index, width, height = reader.unpack("IHH")
+        if (video_id, frame_index) in out:
+            raise FormatError(f"{path}: second heatmap for {video_id!r} frame {frame_index} "
+                              f"at byte {start}")
         out[(video_id, frame_index)] = Heatmap(reader.array(
             "<f4", (height, width), f"heatmap value in {video_id!r} frame {frame_index}"))
     reader.end("the last frame")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotation import (BoundingBox, DatasetIndex, FrameAnnotation, FrameClass,
-                         classify_frame, parse_annotations, serialize_annotations)
+                         parse_annotations, serialize_annotations)
 from .binfile import Reader, Writer
 
 
@@ -358,22 +358,42 @@ def generate_dataset(config: GeneratorConfig, out_dir) -> dict:
     return manifest
 
 
+def _clip_record(record, where):
+    """(id, pattern, labels) of one manifest clip record; `where` names it in errors."""
+    if not isinstance(record, dict):
+        raise GeneratorError(f"{where} is not an object")
+    clip_id, pattern, labels = (record.get(key) for key in ("id", "pattern", "labels"))
+    if not isinstance(clip_id, str):
+        raise GeneratorError(f"{where}: 'id' must be a string, got {clip_id!r}")
+    if pattern not in [p.value for p in FrameClass]:  # a list: the value may be unhashable
+        raise GeneratorError(f"{where}: unknown 'pattern' {pattern!r}")
+    if not (isinstance(labels, list)
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in labels)):
+        raise GeneratorError(f"{where}: 'labels' must be a list of integers, got {labels!r}")
+    return clip_id, FrameClass(pattern), tuple(labels)
+
+
 def load_split(dataset_dir, split) -> list:
     """Reconstruct ClipSamples for one split from the files on disk."""
     root = Path(dataset_dir)
-    manifest = json.loads((root / "manifest.json").read_text())
-    if split not in manifest["splits"]:
-        raise GeneratorError(f"split {split!r} not present in manifest")
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    splits = manifest.get("splits") if isinstance(manifest, dict) else None
+    if not isinstance(splits, dict):
+        raise GeneratorError(f"{path}: 'splits' must be an object")
+    if split not in splits:
+        raise GeneratorError(f"{path}: split {split!r} not present in manifest")
+    if not isinstance(splits[split], list):
+        raise GeneratorError(f"{path}: split {split!r} must be a list of clip records")
     index = parse_annotations((root / f"annotations_{split}.jsonl").read_bytes())
     by_video = {}
     for frame in index.frames:
         by_video.setdefault(frame.video_id, []).append(frame)
     clips = []
-    for record in manifest["splits"][split]:
-        clip_id = record["id"]
+    for k, record in enumerate(splits[split]):
+        clip_id, pattern, labels = _clip_record(record, f"{path}: split {split!r} record {k}")
         video, logmel = read_clip(root / "clips" / split / f"{clip_id}.avcl")
         clips.append(ClipSample(
-            clip_id=clip_id, video=video, logmel=logmel, labels=tuple(record["labels"]),
-            frames=tuple(by_video.get(clip_id, ())),
-            pattern=FrameClass(record["pattern"]), avc_positive=True))
+            clip_id=clip_id, video=video, logmel=logmel, labels=labels,
+            frames=tuple(by_video.get(clip_id, ())), pattern=pattern, avc_positive=True))
     return clips

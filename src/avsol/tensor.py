@@ -519,25 +519,31 @@ def max_global(x):
     return _node(out, (x,), "max_global", rule)
 
 
-OP_REGISTRY["bce_loss"] = "binary cross-entropy against a constant {0,1} target, summed over elements"
+OP_REGISTRY["bce_loss"] = ("binary cross-entropy of logits against a constant {0,1} target, "
+                           "summed over elements")
 
 
-def bce_loss(pred, target):
-    pred = _as_tensor(pred)
+def bce_loss(logits, target):
+    """Sum of -t log sigmoid(x) - (1 - t) log(1 - sigmoid(x)) over logits x.
+
+    Written max(x, 0) - x t + log1p(exp(-|x|)), so a logit whose sigmoid
+    rounds to 0 or 1 still gives a finite loss and gradient sigmoid(x) - t.
+    """
+    x = _as_tensor(logits)
     t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.shape:
-        raise ShapeError(f"bce_loss: target shape {t.shape} != prediction shape {pred.shape}")
-    if not np.all((pred.data > 0.0) & (pred.data < 1.0)):
-        raise ValueError("bce_loss: predictions must lie strictly inside (0, 1)")
+    if t.shape != x.shape:
+        raise ShapeError(f"bce_loss: target shape {t.shape} != logit shape {x.shape}")
     if not np.all((t == 0.0) | (t == 1.0)):
         raise ValueError("bce_loss: targets must be 0 or 1")
-    p = pred.data
-    out = float(np.sum(-t * np.log(p) - (1.0 - t) * np.log1p(-p)))
+    xd = x.data
+    e = np.exp(-np.abs(xd))
+    out = float(np.sum(np.maximum(xd, 0.0) - xd * t + np.log1p(e)))
 
     def rule(g):
-        _accum(pred, float(g) * (p - t) / (p * (1.0 - p)))
+        sig = np.where(xd >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        _accum(x, float(g) * (sig - t))
 
-    return _node(out, (pred,), "bce_loss", rule)
+    return _node(out, (x,), "bce_loss", rule)
 
 
 # ---------------------------------------------------------------------------

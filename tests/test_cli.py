@@ -214,6 +214,15 @@ class TestHeatmapFileDefects:
         assert (f"{maps}: non-finite heatmap value in 'v' frame 0 at byte {offset}"
                 in err)
 
+    def test_repeated_frame_is_a_data_error_at_its_offset(self, tmp_path):
+        annotations, maps = small_eval_files(tmp_path)
+        heatmap = Heatmap(np.array([[0.9, 0.1], [0.2, 0.3]]))
+        write_heatmaps(maps, [("v", 0, heatmap), ("v", 0, heatmap)])
+        code, err = eval_exit_code(annotations, maps)
+        assert code == 2
+        # the second 27-byte entry follows the 10-byte header and the first
+        assert f"{maps}: second heatmap for 'v' frame 0 at byte 37" in err
+
 
 NAMES_AN_OFFSET = re.compile(r" at byte \d+")
 
@@ -361,6 +370,26 @@ class TestClassLabels:
         code, _, _ = run(capsys, "train", "--dataset", str(tmp_path / "ds"), "--model-config",
                          str(model), "--epochs", "1", "--out", str(tmp_path / "run"))
         assert code == 0
+
+
+class TestManifestRecords:
+    @pytest.mark.parametrize("edit,defect", [
+        (lambda r: r.pop("labels"), "'labels' must be a list of integers, got None"),
+        (lambda r: r.pop("id"), "'id' must be a string, got None"),
+        (lambda r: r.update(pattern="ave_triple"), "unknown 'pattern' 'ave_triple'"),
+        (lambda r: r.update(labels=1), "'labels' must be a list of integers, got 1"),
+    ], ids=["missing-labels", "missing-id", "unknown-pattern", "labels-not-a-list"])
+    def test_bad_record_is_a_data_error_naming_the_manifest(
+            self, dataset, tmp_path, capsys, edit, defect):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        edit(manifest["splits"]["train"][1])
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{copy / 'manifest.json'}: split 'train' record 1: {defect}" in err
 
 
 class TestGradcheck:

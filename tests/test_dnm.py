@@ -242,11 +242,14 @@ class TestHeads:
 class TestLoss:
     @staticmethod
     def fake_output(z, probs):
-        logits = np.log(np.asarray(probs) / (1 - np.asarray(probs)))
+        def logit(p):
+            p = np.asarray(p, dtype=np.float64)
+            return np.log(p / (1 - p))
+
         t = T.Tensor(np.float64(z))
-        return ModelOutput(similarity=t, m_static=t, m_dynamic=None, m_loc=t,
-                           z_avc=T.Tensor(np.float64(z)),
-                           w_att=t, v_att=t, class_logits=T.Tensor(logits))
+        return ModelOutput(similarity=T.Tensor(logit([z])), m_static=t, m_dynamic=None,
+                           m_loc=t, z_avc=T.Tensor(np.float64(z)),
+                           w_att=t, v_att=t, class_logits=T.Tensor(logit(probs)))
 
     def test_hand_computed_fixture(self):
         out = self.fake_output(0.8, [0.9, 0.2])
@@ -283,6 +286,22 @@ class TestLoss:
         # the correspondence path did receive gradient
         assert model.v_conv1_w.grad is not None
         assert model.v_conv1_w.grad.any()
+
+    def test_saturated_similarity_trains(self):
+        # with the scale at 1e3 some cells' sigmoid is exactly 1.0 in float64
+        config = tiny()
+        model = DnmModel(config, seed=16)
+        model.sim_scale.data = np.full(1, 1e3)
+        rng = np.random.default_rng(16)
+        for avc_label in (1, 0):
+            out = model.forward(*random_inputs(rng, config))
+            assert np.abs(out.similarity.data).max() > 40.0
+            assert out.m_loc.data.max() == 1.0 or out.m_loc.data.min() == 0.0
+            loss = multitask_loss(out, avc_label, np.array([1.0, 0.0]))
+            T.backward(loss)
+            assert np.isfinite(loss.item())
+            for p in model.parameters():
+                assert p.grad is None or np.all(np.isfinite(p.grad)), p.name
 
     def test_label_vector(self):
         assert np.array_equal(label_vector((0, 2), 4), [1, 0, 1, 0])

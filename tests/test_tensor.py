@@ -68,11 +68,17 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             T.conv2d(T.Tensor(np.zeros((2, 5, 5))), T.Tensor(np.zeros((1, 3, 3, 3))))
 
-    def test_bce_rejects_predictions_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            T.bce_loss(T.Tensor(np.array([0.5, 1.0])), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            T.bce_loss(T.Tensor(np.array([-0.1])), np.array([0.0]))
+    @pytest.mark.parametrize("magnitude", [40.0, 1000.0])
+    def test_bce_is_finite_at_saturated_logits(self, magnitude):
+        # sigmoid(40) rounds to exactly 1.0; the loss reads the logit instead
+        x = T.Tensor(np.array([1.0, 1.0, -1.0, -1.0]) * magnitude, requires_grad=True)
+        t = np.array([1.0, 0.0, 1.0, 0.0])
+        loss = T.bce_loss(x, t)
+        assert loss.item() == pytest.approx(2.0 * magnitude, rel=1e-12)
+        T.backward(loss)
+        sig = 0.5 * (1.0 + np.tanh(x.data / 2.0))  # an independent sigmoid
+        assert np.all(np.isfinite(x.grad))
+        assert np.allclose(x.grad, sig - t, rtol=0.0, atol=1e-15)
 
 
 class TestBackward:
@@ -82,9 +88,9 @@ class TestBackward:
         assert np.allclose(t.grad, 1.0)
 
     def test_bce_sigmoid_canonical_identity(self):
-        # d/dx BCE(sigmoid(x), 1) = sigmoid(x) - 1
+        # d/dx BCE(sigmoid(x), 1) = sigmoid(x) - 1, with bce_loss reading x
         x = T.Tensor(np.array([0.3, -1.2, 2.0]), requires_grad=True)
-        T.backward(T.bce_loss(T.sigmoid(x), np.ones(3)))
+        T.backward(T.bce_loss(x, np.ones(3)))
         sig = 1 / (1 + np.exp(-x.data))
         assert np.allclose(x.grad, sig - 1.0, atol=1e-12)
 
