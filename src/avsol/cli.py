@@ -8,6 +8,7 @@ its outputs. Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from . import gradcheck as gc
 from . import tensor as T
 from .annotation import parse_annotations
-from .dnm import DnmModel, ModelConfig, predict_heatmaps, train
+from .dnm import ConfigError, DnmModel, ModelConfig, predict_heatmaps, train
 from .metrics import (MetricError, evaluate, minmax_normalize, read_heatmaps,
                       write_heatmaps)
 from .synth import GeneratorConfig, generate_dataset, load_split, read_clip
@@ -34,19 +35,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config_file(path):
-    if path is None:
-        return {}
+def _load_config(cls, path, flag_values: dict):
+    """`cls` built from the JSON object in `path`, flags winning field by field.
+
+    Each key the file sets must name a field of `cls` and hold a value of its
+    default's type; a defect names the file and the key.
+    """
+    values = {}
+    if path is not None:
+        try:
+            values = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object, "
+                              f"got {type(values).__name__}")
+        defaults = dataclasses.asdict(cls())
+        for key, value in values.items():
+            if key not in defaults:
+                raise ConfigError(f"{path}: unknown key {key!r}")
+            if not _like(value, defaults[key]):
+                raise ConfigError(f"{path}: key {key!r} has a value of the wrong type, {value!r}")
+    values.update({k: v for k, v in flag_values.items() if v is not None})
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
+        return cls.from_dict(values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def _merge(file_values: dict, flag_values: dict) -> dict:
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged
+def _like(value, default) -> bool:
+    # exact JSON types, so true is no number, except that an int is a float;
+    # a dict's values must be like the default's first value
+    if isinstance(default, dict):
+        sample = next(iter(default.values()))
+        return isinstance(value, dict) and all(_like(v, sample) for v in value.values())
+    return type(value) is type(default) or (type(default), type(value)) == (float, int)
 
 
 def _snapshot(out_dir: Path, resolved: dict):
@@ -56,8 +79,7 @@ def _snapshot(out_dir: Path, resolved: dict):
 
 
 def cmd_gen(args) -> int:
-    values = _merge(_load_config_file(args.config), {"seed": args.seed})
-    config = GeneratorConfig.from_dict(values)
+    config = _load_config(GeneratorConfig, args.config, {"seed": args.seed})
     out = Path(args.out)
     _snapshot(out, config.to_dict())
     generate_dataset(config, out)
@@ -66,11 +88,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _merge(_load_config_file(args.model_config),
-                    {"mode": args.mode, "fusion": args.fusion})
-    config = ModelConfig.from_dict(values)
+    config = _load_config(ModelConfig, args.model_config,
+                          {"mode": args.mode, "fusion": args.fusion})
     out = Path(args.out)
-    _snapshot(out, {"model": json.loads(config.to_json()), "dataset": str(args.dataset),
+    _snapshot(out, {"model": dataclasses.asdict(config), "dataset": str(args.dataset),
                     "epochs": args.epochs, "seed": args.seed, "lr": args.lr})
 
     train_clips = load_split(args.dataset, "train")

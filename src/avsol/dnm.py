@@ -12,8 +12,7 @@ forward pass is gradient-checkable.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +33,6 @@ MODES = ("avc", "cls", "dnm")
 class ModelConfig:
     grid_w: int = 6
     grid_h: int = 6
-    time_steps: int = 8
     feature_dim: int = 16
     cls_feature_dim: int = 8
     num_categories: int = 4
@@ -42,16 +40,11 @@ class ModelConfig:
     audio_channels: int = 8
     visual_kernel: int = 3
     audio_kernel: int = 3
-    frames_per_clip: int = 8
-    frame_height: int = 24
-    frame_width: int = 24
-    mel_bins: int = 16
-    audio_steps: int = 8
     fusion: str = "cdf"
     mode: str = "dnm"
 
     def __post_init__(self):
-        for name in ("grid_w", "grid_h", "time_steps", "feature_dim", "cls_feature_dim",
+        for name in ("grid_w", "grid_h", "feature_dim", "cls_feature_dim",
                      "num_categories", "visual_channels", "audio_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -61,17 +54,10 @@ class ModelConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.visual_kernel % 2 == 0 or self.audio_kernel % 2 == 0:
             raise ConfigError("kernel sizes must be odd")
-        if self.frames_per_clip % self.time_steps or self.audio_steps % self.time_steps:
-            raise ConfigError("time_steps must divide frames_per_clip and audio_steps")
-        if self.frame_height % self.grid_h or self.frame_width % self.grid_w:
-            raise ConfigError("grid must divide the frame size")
 
     @property
     def cells(self) -> int:
         return self.grid_w * self.grid_h
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -173,48 +159,36 @@ class DnmModel:
     # encoders
 
     def encode_visual(self, clip: np.ndarray):
-        """clip: (frames, H, W, 1) in [0, 1] -> (v_seq, v_cls).
+        """clip: (T, H, W, 1) in [0, 1] -> (v_seq, v_cls).
 
         v_seq: (T, D, grid_h, grid_w) preserving time; v_cls: (cells, D')
         time-pooled output of the classification branch.
         """
         cfg = self.config
-        expected = (cfg.frames_per_clip, cfg.frame_height, cfg.frame_width, 1)
-        if clip.shape != expected:
-            raise ConfigError(f"clip shape {clip.shape} does not match the model config, "
-                              f"which expects {expected}")
-        x = T.Tensor(np.transpose(clip, (3, 0, 1, 2)))  # (1, frames, H, W)
+        t, h, w, _ = clip.shape
+        x = T.Tensor(np.transpose(clip, (3, 0, 1, 2)))  # (1, T, H, W)
         h1 = T.tanh(T.conv3d(x, self.v_conv1_w, self.v_conv1_b))
         h2 = T.tanh(T.conv3d(h1, self.v_conv2_w, self.v_conv2_b))
-        tpool = cfg.frames_per_clip // cfg.time_steps
-        sy = cfg.frame_height // cfg.grid_h
-        sx = cfg.frame_width // cfg.grid_w
-        v4 = T.avg_pool(h2, (1, tpool, sy, sx))          # (D, T, gh, gw)
+        sy, sx = h // cfg.grid_h, w // cfg.grid_w
+        v4 = T.avg_pool(h2, (1, 1, sy, sx))              # (D, T, gh, gw)
         v_seq = T.transpose(v4, (1, 0, 2, 3))            # (T, D, gh, gw)
 
         c1 = T.tanh(T.conv3d(h1, self.cls_conv_w, self.cls_conv_b))
-        c2 = T.avg_pool(c1, (1, cfg.frames_per_clip, sy, sx))   # (D', 1, gh, gw)
+        c2 = T.avg_pool(c1, (1, t, sy, sx))              # (D', 1, gh, gw)
         v_cls = T.transpose(T.reshape(c2, (cfg.cls_feature_dim, cfg.cells)), (1, 0))
         return v_seq, v_cls
 
     def encode_audio(self, logmel: np.ndarray):
-        """logmel: (mel_bins, audio_steps) -> (T, D), temporal dimension preserved.
+        """logmel: (mel_bins, T) -> (T, D), temporal dimension preserved.
 
         Each mel bin's mean over the clip is subtracted first. That mean
         carries no timing; left in, it dominates the early audio features and
         training sat at chance correspondence accuracy for epochs.
         """
-        cfg = self.config
-        expected = (cfg.mel_bins, cfg.audio_steps)
-        if logmel.shape != expected:
-            raise ConfigError(f"log-mel shape {logmel.shape} does not match the model "
-                              f"config, which expects {expected}")
-        x = T.Tensor((logmel - logmel.mean(axis=1, keepdims=True))[None])  # (1, mel, steps)
+        x = T.Tensor((logmel - logmel.mean(axis=1, keepdims=True))[None])  # (1, mel, T)
         h1 = T.tanh(T.conv2d(x, self.a_conv1_w, self.a_conv1_b))
         h2 = T.tanh(T.conv2d(h1, self.a_conv2_w, self.a_conv2_b))
-        pooled = T.mean(h2, axis=1)                      # (D, steps)
-        spool = cfg.audio_steps // cfg.time_steps
-        return T.transpose(T.avg_pool(pooled, (1, spool)), (1, 0))
+        return T.transpose(T.mean(h2, axis=1), (1, 0))
 
     # ------------------------------------------------------------------
     # fusion
@@ -228,7 +202,7 @@ class DnmModel:
         on the default data tells matched from mismatched soundtracks better.
         """
         cfg = self.config
-        t, d = cfg.time_steps, cfg.feature_dim
+        t, d = v_seq.shape[0], cfg.feature_dim
         center = T.Tensor(np.eye(t) - 1.0 / t)
         v = T.matmul(center, T.reshape(v_seq, (t, d * cfg.cells)))
         v = T.reshape(T.transpose(T.reshape(v, (t, d, cfg.cells)), (2, 0, 1)), (cfg.cells, t * d))
@@ -246,7 +220,7 @@ class DnmModel:
         hv = T.Tensor(np.zeros((cfg.feature_dim, cfg.grid_h, cfg.grid_w)))
         ha = T.Tensor(np.zeros(cfg.feature_dim))
         visual_gates, audio_gates = self._gates("cgru"), self._gates("gru")
-        for t in range(cfg.time_steps):
+        for t in range(v_seq.shape[0]):
             hv = T.gru_cell(T.take(v_seq, t), hv, *visual_gates)
             ha = T.gru_cell(T.take(a, t), ha, *audio_gates)
         v_final = T.transpose(T.reshape(hv, (cfg.feature_dim, cfg.cells)), (1, 0))
@@ -267,6 +241,17 @@ class DnmModel:
         return w_att, v_att, logits
 
     def forward(self, clip: np.ndarray, logmel: np.ndarray) -> ModelOutput:
+        # the model takes its sizes from a clip (T, H, W, 1) whose frame the
+        # grid tiles and a log-mel (mel_bins, T) with one step per frame
+        gh, gw = self.config.grid_h, self.config.grid_w
+        if not (clip.ndim == 4 and clip.shape[3] == 1 and min(clip.shape) >= 1
+                and clip.shape[1] % gh == 0 and clip.shape[2] % gw == 0
+                and logmel.ndim == 2 and logmel.shape[0] >= 1
+                and logmel.shape[1] == clip.shape[0]):
+            raise ConfigError(
+                f"clip shape {clip.shape} and log-mel shape {logmel.shape} do not fit "
+                f"the model's {gh}x{gw} grid: it needs a clip (T, H, W, 1) with H a "
+                f"multiple of grid_h={gh} and W of grid_w={gw}, and a log-mel (mel_bins, T)")
         v_seq, v_cls = self.encode_visual(clip)
         a = self.encode_audio(logmel)
         m_static = self.static_fusion(v_seq, a)

@@ -82,22 +82,24 @@ def check_ops(seed: int, draws: int = 20) -> dict:
     return worst
 
 
-def tiny_config(fusion="cdf") -> ModelConfig:
-    return ModelConfig(grid_w=3, grid_h=3, time_steps=2, feature_dim=4,
-                       cls_feature_dim=3, num_categories=2, visual_channels=2,
-                       audio_channels=2, frames_per_clip=4, frame_height=6,
-                       frame_width=6, mel_bins=6, audio_steps=4, fusion=fusion,
-                       mode="dnm")
+def tiny_config() -> ModelConfig:
+    """The cdf-dnm model on a 3x3 grid with the smallest encoders."""
+    return ModelConfig(grid_w=3, grid_h=3, feature_dim=4, cls_feature_dim=3,
+                       num_categories=2, visual_channels=2, audio_channels=2)
 
 
-def check_model(seed: int, draws: int = 20, components_per_param: int = 12,
-                config: ModelConfig | None = None) -> float:
-    """Finite-difference check of the end-to-end forward + multitask loss.
+def random_inputs(rng, frames=2, size=6, mel_bins=6):
+    """A clip (frames, size, size, 1) and a log-mel (mel_bins, frames), uniform in [0, 1)."""
+    return rng.random((frames, size, size, 1)), rng.random((mel_bins, frames))
+
+
+def check_model(seed: int, draws: int = 20, components_per_param: int = 12) -> float:
+    """Finite-difference check of the tiny model's forward + multitask loss.
 
     All parameters participate; within each draw a seeded subset of
     components per parameter is probed to keep the check fast.
     """
-    config = config or tiny_config()
+    config = tiny_config()
     worst = 0.0
     for draw in range(draws):
         rng = np.random.default_rng(np.random.SeedSequence((seed, draw, 2)))
@@ -105,9 +107,7 @@ def check_model(seed: int, draws: int = 20, components_per_param: int = 12,
         # biases start at zero; nudge them so their gradients are generic
         for p in model.parameters():
             p.data = p.data + rng.uniform(-0.05, 0.05, size=p.data.shape)
-        clip = rng.random((config.frames_per_clip, config.frame_height,
-                           config.frame_width, 1))
-        logmel = rng.random((config.mel_bins, config.audio_steps))
+        clip, logmel = random_inputs(rng)
         label = np.zeros(config.num_categories)
         label[int(rng.integers(config.num_categories))] = 1.0
 

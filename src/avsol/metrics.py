@@ -9,7 +9,7 @@ heatmaps must not be per-frame normalized before it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -160,12 +160,7 @@ class MetricsReport:
     counts: dict = field(default_factory=dict)     # per FrameClass value + total
 
     def to_json(self) -> str:
-        return json.dumps({
-            "hmbox_auc": self.hmbox_auc,
-            "pibr": self.pibr,
-            "pnsr": self.pnsr,
-            "counts": self.counts,
-        }, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
         def cell(bucket, key):

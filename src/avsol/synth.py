@@ -59,16 +59,15 @@ class GeneratorConfig:
                      "mel_bins", "audio_steps", "num_categories"):
             if getattr(self, name) < 1:
                 raise GeneratorError(f"{name} must be >= 1")
+        if min(self.frame_height, self.frame_width) < 13:
+            raise GeneratorError("frame_height and frame_width must be >= 13: "
+                                 "blob centres keep 6 pixels from the border")
         if abs(sum(self.class_probs.values()) - 1.0) > 1e-9:
             raise GeneratorError("class probabilities must sum to 1")
-        if not 0.0 <= self.multi_same_category_fraction <= 1.0:
-            raise GeneratorError("multi_same_category_fraction must lie in [0, 1]")
-        if not 0.0 <= self.distractor_fraction <= 1.0:
-            raise GeneratorError("distractor_fraction must lie in [0, 1]")
-        if not 0.0 <= self.extra_distractor_fraction <= 1.0:
-            raise GeneratorError("extra_distractor_fraction must lie in [0, 1]")
-        if not 0.0 <= self.ambient_fraction <= 1.0:
-            raise GeneratorError("ambient_fraction must lie in [0, 1]")
+        for name in ("multi_same_category_fraction", "distractor_fraction",
+                     "extra_distractor_fraction", "ambient_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise GeneratorError(f"{name} must lie in [0, 1]")
         if self.ambient_amplitude < 0.0:
             raise GeneratorError("ambient_amplitude must be non-negative")
 
@@ -245,19 +244,18 @@ def generate_clip(category: int, pattern: FrameClass, rng, config: GeneratorConf
                 ambient = (cat_d, config.ambient_amplitude)
 
     env_audio_steps = np.arange(config.audio_steps) / config.audio_steps * n_frames
+
+    def sound(cat, env, amp=1.0):
+        env_a = np.interp(env_audio_steps, np.arange(n_frames), env)
+        logmel[...] += amp * np.outer(audio_template(cat, config.mel_bins), env_a)
+
     for cat, ys, xs, env, snd in blobs:
-        if env is None or not snd:
-            continue
-        env_a = np.interp(env_audio_steps, np.arange(n_frames), env)
-        logmel += np.outer(audio_template(cat, config.mel_bins), env_a)
+        if env is not None and snd:
+            sound(cat, env)
     if ambient is not None:
-        cat_a, amp = ambient
-        env_a = np.interp(env_audio_steps, np.arange(n_frames), blobs[0][3])
-        logmel += amp * np.outer(audio_template(cat_a, config.mel_bins), env_a)
+        sound(ambient[0], blobs[0][3], ambient[1])
     if pattern is FrameClass.NON_AVE_AUDIBLE:
-        env = _envelope(rng, n_frames)
-        env_a = np.interp(env_audio_steps, np.arange(n_frames), env)
-        logmel += np.outer(audio_template(category, config.mel_bins), env_a)
+        sound(category, _envelope(rng, n_frames))
 
     for t in range(n_frames):
         boxes = []
@@ -377,7 +375,10 @@ def load_split(dataset_dir, split) -> list:
     """Reconstruct ClipSamples for one split from the files on disk."""
     root = Path(dataset_dir)
     path = root / "manifest.json"
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise GeneratorError(f"{path}: not a JSON manifest: {exc}") from None
     splits = manifest.get("splits") if isinstance(manifest, dict) else None
     if not isinstance(splits, dict):
         raise GeneratorError(f"{path}: 'splits' must be an object")

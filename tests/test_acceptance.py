@@ -117,9 +117,7 @@ def test_criterion_5_head_contracts():
     for i in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((1005, i)))
         model = DnmModel(config, seed=i)
-        clip = rng.random((config.frames_per_clip, config.frame_height,
-                           config.frame_width, 1))
-        logmel = rng.random((config.mel_bins, config.audio_steps))
+        clip, logmel = gc.random_inputs(rng)
         out = model.forward(clip, logmel)
         ok &= out.z_avc.item() == out.m_loc.data.max()
         ok &= abs(out.w_att.data.sum() - 1.0) <= 1e-9
@@ -133,9 +131,7 @@ def test_criterion_5_head_contracts():
     for i in range(5):
         rng = np.random.default_rng(np.random.SeedSequence((1005, i, 2)))
         model = DnmModel(config, seed=i)
-        clip = rng.random((config.frames_per_clip, config.frame_height,
-                           config.frame_width, 1))
-        logmel = rng.random((config.mel_bins, config.audio_steps))
+        clip, logmel = gc.random_inputs(rng)
         loss = multitask_loss(model.forward(clip, logmel), 0)
         T.backward(loss)
         for p in model.classification_parameters():

@@ -6,6 +6,7 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from avsol.binfile import FormatError
 from avsol.cli import main
 from avsol.dnm import DnmModel
 from avsol.metrics import Heatmap, read_heatmaps, write_heatmaps
-from avsol.synth import ClipSample, write_clip
+from avsol.synth import ClipSample, read_clip, write_clip
 
 
 def run(capsys, *argv):
@@ -391,6 +392,16 @@ class TestManifestRecords:
         assert code == 2
         assert f"{copy / 'manifest.json'}: split 'train' record 1: {defect}" in err
 
+    def test_manifest_that_is_not_json_is_a_data_error_naming_it(
+            self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        (copy / "manifest.json").write_text("{splits: []}")
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{copy / 'manifest.json'}: not a JSON manifest: Expecting property name" in err
+
 
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
@@ -413,21 +424,42 @@ class TestGradcheck:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("override, message", [
-        ({"frame_height": 12, "frame_width": 12},
-         "clip shape (8, 24, 24, 1) does not match the model config, "
-         "which expects (8, 12, 12, 1)"),
-        ({"mel_bins": 8},
-         "log-mel shape (16, 8) does not match the model config, which expects (8, 8)"),
-    ])
-    def test_data_that_does_not_fit_the_model_config_is_a_data_error(
-            self, dataset, tmp_path, capsys, override, message):
+    def test_grid_that_does_not_divide_the_frame_is_a_data_error(
+            self, dataset, tmp_path, capsys):
         config = tmp_path / "model.json"
-        config.write_text(json.dumps(override))
+        config.write_text(json.dumps({"grid_w": 5}))
         code, _, err = run(capsys, "train", "--dataset", str(dataset), "--model-config",
                            str(config), "--epochs", "1", "--out", str(tmp_path / "run"))
         assert code == 2
-        assert message in err
+        assert ("clip shape (8, 24, 24, 1) and log-mel shape (16, 8) do not fit the "
+                "model's 6x5 grid") in err
+
+    def test_log_mel_steps_other_than_frames_are_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_text(json.dumps({"audio_steps": 4,
+                                      "clips_per_split": {"train": 2, "val": 1, "test": 1}}))
+        assert run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "ds"))[0] == 0
+        code, _, err = run(capsys, "train", "--dataset", str(tmp_path / "ds"), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "clip shape (8, 24, 24, 1) and log-mel shape (16, 4) do not fit" in err
+
+    def test_smaller_frames_train_with_the_default_model_config(
+            self, dataset, tmp_path, capsys):
+        # 12x12 frames and 8 mel bins: each clip averaged over 2x2 pixels and
+        # over pairs of mel bins; the annotations keep their 24x24 frame size
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        for path in (copy / "clips").glob("*/*.avcl"):
+            video, logmel = read_clip(path)
+            write_clip(path, SimpleNamespace(
+                video=video.reshape(8, 12, 2, 12, 2, 1).mean(axis=(2, 4)),
+                logmel=logmel.reshape(8, 2, 8).mean(axis=1)))
+        code, _, _ = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                         "--out", str(tmp_path / "run"))
+        assert code == 0
+        maps = read_heatmaps(tmp_path / "run" / "heatmaps_test.avhm")
+        assert {hm.values.shape for hm in maps.values()} == {(6, 6)}
 
     def test_shape_bug_in_model_code_is_an_internal_error(self, dataset, tmp_path, capsys,
                                                           monkeypatch):
@@ -464,6 +496,35 @@ class TestRender:
         assert run(capsys, *args2)[0] == 0
         second = {p.name: p.read_bytes() for p in sorted((tmp_path / "imgs2").glob("*.ppm"))}
         assert first == second
+
+
+class TestConfigFiles:
+    @pytest.mark.parametrize("command, content, defect", [
+        ("train", {"grid_size": 6}, "unknown key 'grid_size'"),
+        ("train", {"frame_height": 24}, "unknown key 'frame_height'"),
+        ("train", {"grid_w": "6"}, "key 'grid_w' has a value of the wrong type, '6'"),
+        ("train", {"fusion": True}, "key 'fusion' has a value of the wrong type, True"),
+        ("train", [1, 2], "a config must be a JSON object, got list"),
+        ("train", {"grid_w": 0}, "grid_w must be >= 1"),
+        ("gen", {"seeds": 1}, "unknown key 'seeds'"),
+        ("gen", {"noise_amplitude": "x"}, "key 'noise_amplitude' has a value of the wrong type, 'x'"),
+        ("gen", {"clips_per_split": {"train": "2"}},
+         "key 'clips_per_split' has a value of the wrong type, {'train': '2'}"),
+        ("gen", {"frame_height": 12}, "frame_height and frame_width must be >= 13"),
+    ], ids=["unknown-model-key", "removed-model-key", "string-for-int", "bool-for-str",
+            "not-an-object", "model-field-out-of-range", "unknown-gen-key",
+            "string-for-float", "string-in-dict", "frame-too-small"])
+    def test_bad_config_is_a_data_error_naming_the_file_and_key(
+            self, tmp_path, capsys, command, content, defect):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        flag = "--model-config" if command == "train" else "--config"
+        extra = ["--dataset", str(tmp_path / "ds")] if command == "train" else []
+        code, _, err = run(capsys, command, flag, str(config), *extra,
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"error: {config}: {defect}" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsage:

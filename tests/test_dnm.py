@@ -1,8 +1,10 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from avsol import gradcheck as gc
 from avsol import tensor as T
 from avsol.annotation import FrameClass
 from avsol import dnm
@@ -13,41 +15,63 @@ from avsol.synth import GeneratorConfig, generate_clip, make_negative_pair
 
 
 def tiny(**overrides):
-    base = dict(grid_w=3, grid_h=3, time_steps=2, feature_dim=4, cls_feature_dim=3,
-                num_categories=2, visual_channels=2, audio_channels=2,
-                frames_per_clip=4, frame_height=6, frame_width=6, mel_bins=6,
-                audio_steps=4, fusion="cdf", mode="dnm")
-    base.update(overrides)
-    return ModelConfig(**base)
+    return dataclasses.replace(gc.tiny_config(), **overrides)
 
 
-def random_inputs(rng, config):
-    clip = rng.random((config.frames_per_clip, config.frame_height, config.frame_width, 1))
-    logmel = rng.random((config.mel_bins, config.audio_steps))
-    return clip, logmel
+random_inputs = gc.random_inputs
 
 
 class TestConfig:
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigError, match="divide"):
-            tiny(time_steps=3)
-        with pytest.raises(ConfigError, match="grid"):
-            tiny(grid_w=4)
+        # the grid must tile the frame, checked when the model sees a clip
+        rng = np.random.default_rng(0)
+        model = DnmModel(tiny(grid_w=4), seed=0)
+        with pytest.raises(ConfigError, match=r"clip shape \(2, 6, 6, 1\) and log-mel shape "
+                                              r"\(6, 2\) do not fit the model's 3x4 grid"):
+            model.forward(*random_inputs(rng))
+        # 12x12 frames fit the same 3x3 grid
+        out = DnmModel(tiny(), seed=0).forward(*random_inputs(rng, size=12))
+        assert out.m_loc.shape == (9,)
+
+    def test_log_mel_needs_one_step_per_frame(self):
+        rng = np.random.default_rng(1)
+        clip, _ = random_inputs(rng, frames=2)
+        model = DnmModel(tiny(), seed=0)
+        for logmel in (rng.random((6, 3)), rng.random((6, 1)), rng.random(6)):
+            with pytest.raises(ConfigError, match=r"log-mel shape \(6"):
+                model.forward(clip, logmel)
+
+    @pytest.mark.parametrize("clip_shape", [(2, 6, 6), (2, 6, 6, 3), (0, 6, 6, 1),
+                                            (2, 0, 6, 1), (2, 6, 7, 1)])
+    def test_clip_must_be_frames_of_one_channel_tiled_by_the_grid(self, clip_shape):
+        model = DnmModel(tiny(), seed=0)
+        with pytest.raises(ConfigError, match=r"it needs a clip \(T, H, W, 1\)"):
+            model.forward(np.zeros(clip_shape), np.zeros((6, clip_shape[0])))
+
+    def test_invalid_fields_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             tiny(visual_kernel=2)
         with pytest.raises(ConfigError, match="fusion"):
             tiny(fusion="other")
+        with pytest.raises(ConfigError, match="grid_w must be >= 1"):
+            tiny(grid_w=0)
+
+    def test_eleven_architecture_fields(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "grid_w", "grid_h", "feature_dim", "cls_feature_dim", "num_categories",
+            "visual_channels", "audio_channels", "visual_kernel", "audio_kernel",
+            "fusion", "mode"]
 
     def test_json_round_trip(self):
         import json
         config = tiny(fusion="static", mode="avc")
-        assert ModelConfig.from_dict(json.loads(config.to_json())) == config
+        assert ModelConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
 
 class TestEncoders:
     def test_zero_spectrogram_gives_zero_audio_features(self):
         model = DnmModel(tiny(), seed=0)
-        a = model.encode_audio(np.zeros((6, 4)))
+        a = model.encode_audio(np.zeros((6, 2)))
         # zero biases plus odd nonlinearity keep the zero fixed point
         assert np.array_equal(a.data, np.zeros((2, 4)))
 
@@ -55,16 +79,15 @@ class TestEncoders:
         config = tiny(visual_kernel=1)
         model = DnmModel(config, seed=1)
         rng = np.random.default_rng(1)
-        clip, _ = random_inputs(rng, config)
+        clip, _ = random_inputs(rng)
         v, _ = model.encode_visual(clip)
         v_flip, _ = model.encode_visual(clip[:, :, ::-1, :].copy())
         assert np.allclose(v_flip.data, v.data[:, :, :, ::-1], atol=1e-12)
 
     def test_time_shift_equivariance_with_pointwise_kernels(self):
-        config = tiny(audio_kernel=1, time_steps=4, audio_steps=4, frames_per_clip=4)
-        model = DnmModel(config, seed=2)
+        model = DnmModel(tiny(audio_kernel=1), seed=2)
         rng = np.random.default_rng(2)
-        logmel = rng.random((config.mel_bins, config.audio_steps))
+        _, logmel = random_inputs(rng, frames=4)
         a = model.encode_audio(logmel)
         a_shift = model.encode_audio(np.roll(logmel, 1, axis=1))
         assert np.allclose(a_shift.data, np.roll(a.data, 1, axis=0), atol=1e-12)
@@ -73,7 +96,7 @@ class TestEncoders:
         config = tiny()
         model = DnmModel(config, seed=3)
         rng = np.random.default_rng(3)
-        clip, logmel = random_inputs(rng, config)
+        clip, logmel = random_inputs(rng)
         v, v_cls = model.encode_visual(clip)
         a = model.encode_audio(logmel)
         assert v.shape == (2, 4, 3, 3)
@@ -86,14 +109,13 @@ class TestFusion:
         config = tiny()
         model = DnmModel(config, seed=4)
         rng = np.random.default_rng(4)
-        clip, _ = random_inputs(rng, config)
+        clip, _ = random_inputs(rng)
         v, _ = model.encode_visual(clip)
         m = model.static_fusion(v, T.Tensor(np.zeros((2, 4))))
         assert np.array_equal(m.data, np.zeros(9))
 
     def test_static_fusion_matches_triple_loop(self):
-        config = tiny(grid_w=2, grid_h=2, time_steps=3, feature_dim=2,
-                      frames_per_clip=6, audio_steps=6, fusion="static")
+        config = tiny(grid_w=2, grid_h=2, feature_dim=2, fusion="static")
         model = DnmModel(config, seed=5)
         rng = np.random.default_rng(5)
         v = rng.normal(size=(3, 2, 2, 2))
@@ -125,8 +147,7 @@ class TestFusion:
         assert np.all(np.abs(base) <= 1.0 + 1e-12)
 
     def test_single_step_recurrence_matches_hand_composed_cell(self):
-        config = tiny(time_steps=1)
-        model = DnmModel(config, seed=6)
+        model = DnmModel(tiny(), seed=6)
         rng = np.random.default_rng(6)
         v = rng.normal(size=(1, 4, 3, 3))
         a = rng.normal(size=(1, 4))
@@ -170,7 +191,7 @@ class TestFusion:
         config = tiny()
         model = DnmModel(config, seed=8)
         model.sim_bias.data = np.array([0.3])
-        out = model.forward(*random_inputs(np.random.default_rng(8), config))
+        out = model.forward(*random_inputs(np.random.default_rng(8)))
         product = out.m_static.data * out.m_dynamic.data
         expected = model.sim_scale.data * product + model.sim_bias.data
         assert np.array_equal(out.similarity.data, expected)
@@ -181,7 +202,7 @@ class TestFusion:
         model.sim_bias.data = np.array([0.3])
         monkeypatch.setattr(model, "dynamic_fusion",
                             lambda v, a: T.Tensor(np.ones(9)))
-        out = model.forward(*random_inputs(np.random.default_rng(9), config))
+        out = model.forward(*random_inputs(np.random.default_rng(9)))
         expected = model.sim_scale.data * out.m_static.data + model.sim_bias.data
         assert np.array_equal(out.similarity.data, expected)
 
@@ -219,10 +240,9 @@ class TestHeads:
         assert np.allclose(shifted.data, logits.data, atol=1e-9)
 
     def test_forward_shape_contract_default_config(self):
-        config = ModelConfig()
-        model = DnmModel(config, seed=12)
+        model = DnmModel(ModelConfig(), seed=12)
         rng = np.random.default_rng(12)
-        out = model.forward(*random_inputs(rng, config))
+        out = model.forward(*random_inputs(rng, frames=8, size=24, mel_bins=16))
         assert out.m_loc.shape == (36,)
         assert out.w_att.shape == (36,)
         assert out.class_logits.shape == (4,)
@@ -233,7 +253,7 @@ class TestHeads:
         for mode, attr in (("dnm", "m_loc"), ("avc", "m_loc"), ("cls", "w_att")):
             config = tiny(mode=mode)
             model = DnmModel(config, seed=14)
-            out = model.forward(*random_inputs(rng, config))
+            out = model.forward(*random_inputs(rng))
             hm = model.localization_heatmap(out)
             assert hm.values.shape == (3, 3)
             assert np.array_equal(hm.values.ravel(), getattr(out, attr).data)
@@ -279,7 +299,7 @@ class TestLoss:
         config = tiny()
         model = DnmModel(config, seed=15)
         rng = np.random.default_rng(15)
-        loss = multitask_loss(model.forward(*random_inputs(rng, config)), 0)
+        loss = multitask_loss(model.forward(*random_inputs(rng)), 0)
         T.backward(loss)
         for p in model.classification_parameters():
             assert p.grad is None or not p.grad.any()
@@ -294,7 +314,7 @@ class TestLoss:
         model.sim_scale.data = np.full(1, 1e3)
         rng = np.random.default_rng(16)
         for avc_label in (1, 0):
-            out = model.forward(*random_inputs(rng, config))
+            out = model.forward(*random_inputs(rng))
             assert np.abs(out.similarity.data).max() > 40.0
             assert out.m_loc.data.max() == 1.0 or out.m_loc.data.min() == 0.0
             loss = multitask_loss(out, avc_label, np.array([1.0, 0.0]))

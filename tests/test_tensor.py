@@ -259,7 +259,7 @@ def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
     z = T.sigmoid(gate(wu, bu, xh))
     r = T.sigmoid(gate(wr, br, xh))
     n = T.tanh(gate(wc, bc, stack(x, r * h)))
-    return (1.0 - z) * h + z * n
+    return (z * -1.0 + 1.0) * h + z * n
 
 
 class TestGruCell:
