@@ -45,8 +45,8 @@ def _load_config(cls, path, flag_values: dict):
     if path is not None:
         try:
             values = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # missing, not UTF-8, or not JSON
+            raise ConfigError(f"{path}: cannot read config: {exc}") from None
         if not isinstance(values, dict):
             raise ConfigError(f"{path}: a config must be a JSON object, "
                               f"got {type(values).__name__}")
@@ -58,7 +58,7 @@ def _load_config(cls, path, flag_values: dict):
                 raise ConfigError(f"{path}: key {key!r} has a value of the wrong type, {value!r}")
     values.update({k: v for k, v in flag_values.items() if v is not None})
     try:
-        return cls.from_dict(values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
@@ -81,7 +81,7 @@ def _snapshot(out_dir: Path, resolved: dict):
 def cmd_gen(args) -> int:
     config = _load_config(GeneratorConfig, args.config, {"seed": args.seed})
     out = Path(args.out)
-    _snapshot(out, config.to_dict())
+    _snapshot(out, dataclasses.asdict(config))
     generate_dataset(config, out)
     print(f"dataset written to {out}")
     return 0

@@ -59,10 +59,6 @@ class ModelConfig:
     def cells(self) -> int:
         return self.grid_w * self.grid_h
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
-
 
 @dataclass
 class ModelOutput:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,19 @@ class GeneratorError(ValueError):
 
 
 DEFAULT_CLASS_PROBS = {
-    FrameClass.AVE_SINGLE: 0.66,
-    FrameClass.AVE_MULTI: 0.25,
-    FrameClass.NON_AVE_VISIBLE: 0.04,
-    FrameClass.NON_AVE_AUDIBLE: 0.02,
-    FrameClass.NON_AVE_NOISE: 0.03,
+    "ave_single": 0.66,
+    "ave_multi": 0.25,
+    "non_ave_visible": 0.04,
+    "non_ave_audible": 0.02,
+    "non_ave_noise": 0.03,
 }
 
 SPLITS = ("train", "val", "test")
+
+MULTI_SAME_CATEGORY_FRACTION = 0.5  # AVE_MULTI clips whose two blobs share a category
+AMBIENT_FRACTION = 0.75  # distractors that also sound off screen, in their own category
+AMBIENT_AMPLITUDE = 0.55  # loudness of that off-screen sound
+NOISE_AMPLITUDE = 0.08  # uniform noise under every log-mel cell
 
 
 @dataclass(frozen=True)
@@ -42,49 +47,40 @@ class GeneratorConfig:
     frame_width: int = 24
     frames_per_clip: int = 8
     mel_bins: int = 16
-    audio_steps: int = 8
     num_categories: int = 4
     clips_per_split: dict = field(default_factory=lambda: {"train": 200, "val": 50, "test": 50})
     class_probs: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_PROBS))
-    multi_same_category_fraction: float = 0.5
     distractor_fraction: float = 0.9
-    extra_distractor_fraction: float = 0.0
-    ambient_fraction: float = 0.75
-    ambient_amplitude: float = 0.55
-    noise_amplitude: float = 0.08
     seed: int = 0
 
     def __post_init__(self):
         for name in ("frame_height", "frame_width", "frames_per_clip",
-                     "mel_bins", "audio_steps", "num_categories"):
+                     "mel_bins", "num_categories"):
             if getattr(self, name) < 1:
                 raise GeneratorError(f"{name} must be >= 1")
         if min(self.frame_height, self.frame_width) < 13:
             raise GeneratorError("frame_height and frame_width must be >= 13: "
                                  "blob centres keep 6 pixels from the border")
+        for split, count in self.clips_per_split.items():
+            if split not in SPLITS:
+                raise GeneratorError(f"clips_per_split: unknown split {split!r}, "
+                                     f"expected one of {SPLITS}")
+            if count < 0:
+                raise GeneratorError(f"clips_per_split: {split!r} must be >= 0, got {count}")
         if abs(sum(self.class_probs.values()) - 1.0) > 1e-9:
             raise GeneratorError("class probabilities must sum to 1")
-        for name in ("multi_same_category_fraction", "distractor_fraction",
-                     "extra_distractor_fraction", "ambient_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise GeneratorError(f"{name} must lie in [0, 1]")
-        if self.ambient_amplitude < 0.0:
-            raise GeneratorError("ambient_amplitude must be non-negative")
-
-    def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "class_probs"}
-        d["class_probs"] = {cls.value: p for cls, p in self.class_probs.items()}
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorConfig":
-        d = dict(d)
-        if "class_probs" in d:
-            d["class_probs"] = {FrameClass(k): float(p) for k, p in d["class_probs"].items()}
-        return GeneratorConfig(**d)
+        names = [c.value for c in FrameClass]
+        for name, prob in self.class_probs.items():
+            if name not in names:
+                raise GeneratorError(f"class_probs: unknown frame class {name!r}, "
+                                     f"expected one of {names}")
+            if prob < 0:
+                raise GeneratorError(f"class_probs: {name!r} must be >= 0, got {prob}")
+        if not 0.0 <= self.distractor_fraction <= 1.0:
+            raise GeneratorError("distractor_fraction must lie in [0, 1]")
 
     def content_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        canonical = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -92,7 +88,7 @@ class GeneratorConfig:
 class ClipSample:
     clip_id: str
     video: np.ndarray      # (frames, H, W, 1), values in [0, 1]
-    logmel: np.ndarray     # (mel_bins, audio_steps)
+    logmel: np.ndarray     # (mel_bins, frames)
     labels: tuple          # sounding in-view event categories
     frames: tuple          # FrameAnnotation per video frame
     pattern: FrameClass
@@ -201,7 +197,7 @@ def generate_clip(category: int, pattern: FrameClass, rng, config: GeneratorConf
     h, w = config.frame_height, config.frame_width
     n_frames = config.frames_per_clip
     video = 0.05 * rng.random((n_frames, h, w, 1))
-    logmel = config.noise_amplitude * rng.random((config.mel_bins, config.audio_steps))
+    logmel = NOISE_AMPLITUDE * rng.random((config.mel_bins, n_frames))
     frames = []
     labels: tuple = ()
 
@@ -211,7 +207,7 @@ def generate_clip(category: int, pattern: FrameClass, rng, config: GeneratorConf
         env = _envelope(rng, n_frames) if is_ave else None
         blobs.append((category, *_blob_track(category, rng, config), env, is_ave))
     if pattern is FrameClass.AVE_MULTI:
-        if rng.random() < config.multi_same_category_fraction:
+        if rng.random() < MULTI_SAME_CATEGORY_FRACTION:
             cat2 = category
         else:
             cat2 = int((category + 1 + rng.integers(config.num_categories - 1))
@@ -227,27 +223,26 @@ def generate_clip(category: int, pattern: FrameClass, rng, config: GeneratorConf
         # associating the spectral signature with the right object category
         sounding_cats = {cat for cat, _, _, _, snd in blobs if snd}
         free = [k for k in range(config.num_categories) if k not in sounding_cats]
-        n_clutter = 0
         if rng.random() < config.distractor_fraction:
-            n_clutter = 1 + (rng.random() < config.extra_distractor_fraction)
-        for j in range(min(n_clutter, len(free))):
-            cat_d = free.pop(int(rng.integers(len(free))))
-            taken = [(ys[0], xs[0]) for _, ys, xs, _, _ in blobs]
-            blobs.append((cat_d, *_blob_track(cat_d, rng, config, avoid=taken),
-                          blobs[0][3], False))
-            if j == 0 and rng.random() < config.ambient_fraction:
-                # a quieter off-screen source in the clutter object's category:
-                # the soundtrack now carries that category's signature even
-                # though the visible blob of the category is not the source,
-                # so raw correspondence points at the wrong object and only
-                # the in-view event labels resolve the ambiguity
-                ambient = (cat_d, config.ambient_amplitude)
-
-    env_audio_steps = np.arange(config.audio_steps) / config.audio_steps * n_frames
+            # an unused draw, kept: without it every later draw of the
+            # stream would shift, and so would every dataset
+            rng.random()
+            if free:
+                cat_d = free[int(rng.integers(len(free)))]
+                taken = [(ys[0], xs[0]) for _, ys, xs, _, _ in blobs]
+                blobs.append((cat_d, *_blob_track(cat_d, rng, config, avoid=taken),
+                              blobs[0][3], False))
+                if rng.random() < AMBIENT_FRACTION:
+                    # a quieter off-screen source in the clutter object's
+                    # category: the soundtrack now carries that category's
+                    # signature even though the visible blob of the category
+                    # is not the source, so raw correspondence points at the
+                    # wrong object and only the in-view event labels resolve
+                    # the ambiguity
+                    ambient = (cat_d, AMBIENT_AMPLITUDE)
 
     def sound(cat, env, amp=1.0):
-        env_a = np.interp(env_audio_steps, np.arange(n_frames), env)
-        logmel[...] += amp * np.outer(audio_template(cat, config.mel_bins), env_a)
+        logmel[...] += amp * np.outer(audio_template(cat, config.mel_bins), env)
 
     for cat, ys, xs, env, snd in blobs:
         if env is not None and snd:
@@ -319,11 +314,11 @@ def generate_dataset(config: GeneratorConfig, out_dir) -> dict:
     """Write all splits plus manifest; returns the manifest dict."""
     out = Path(out_dir)
     (out / "clips").mkdir(parents=True, exist_ok=True)
-    patterns = list(DEFAULT_CLASS_PROBS)  # fixed draw order
-    probs = np.array([config.class_probs.get(p, 0.0) for p in patterns])
+    patterns = list(FrameClass)  # fixed draw order
+    probs = np.array([config.class_probs.get(p.value, 0.0) for p in patterns])
 
     manifest = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_sha256": config.content_hash(),
         "seed": config.seed,
         "splits": {},

@@ -434,12 +434,14 @@ class TestExitCodes:
         assert ("clip shape (8, 24, 24, 1) and log-mel shape (16, 8) do not fit the "
                 "model's 6x5 grid") in err
 
-    def test_log_mel_steps_other_than_frames_are_a_data_error(self, tmp_path, capsys):
-        config = tmp_path / "gen.json"
-        config.write_text(json.dumps({"audio_steps": 4,
-                                      "clips_per_split": {"train": 2, "val": 1, "test": 1}}))
-        assert run(capsys, "gen", "--config", str(config), "--out", str(tmp_path / "ds"))[0] == 0
-        code, _, err = run(capsys, "train", "--dataset", str(tmp_path / "ds"), "--epochs", "1",
+    def test_log_mel_steps_other_than_frames_are_a_data_error(
+            self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        path = copy / "clips" / "train" / "train0001.avcl"
+        video, logmel = read_clip(path)
+        write_clip(path, SimpleNamespace(video=video, logmel=logmel[:, :4]))
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
                            "--out", str(tmp_path / "run"))
         assert code == 2
         assert "clip shape (8, 24, 24, 1) and log-mel shape (16, 4) do not fit" in err
@@ -507,17 +509,30 @@ class TestConfigFiles:
         ("train", [1, 2], "a config must be a JSON object, got list"),
         ("train", {"grid_w": 0}, "grid_w must be >= 1"),
         ("gen", {"seeds": 1}, "unknown key 'seeds'"),
-        ("gen", {"noise_amplitude": "x"}, "key 'noise_amplitude' has a value of the wrong type, 'x'"),
+        ("gen", {"distractor_fraction": "x"},
+         "key 'distractor_fraction' has a value of the wrong type, 'x'"),
         ("gen", {"clips_per_split": {"train": "2"}},
          "key 'clips_per_split' has a value of the wrong type, {'train': '2'}"),
         ("gen", {"frame_height": 12}, "frame_height and frame_width must be >= 13"),
+        ("gen", {"audio_steps": 8}, "unknown key 'audio_steps'"),
+        ("gen", {"clips_per_split": {"trian": 4}}, "clips_per_split: unknown split 'trian'"),
+        ("gen", {"clips_per_split": {"train": -3}}, "clips_per_split: 'train' must be >= 0, got -3"),
+        ("gen", {"class_probs": {"ave_single": 0.5, "ave_triple": 0.5}},
+         "class_probs: unknown frame class 'ave_triple'"),
+        ("gen", {"class_probs": {"ave_single": 1.5, "ave_multi": -0.5}},
+         "class_probs: 'ave_multi' must be >= 0, got -0.5"),
+        ("gen", b"{bad", "cannot read config: Expecting property name"),
+        ("gen", b'{"seed": "\xff"}', "cannot read config: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["unknown-model-key", "removed-model-key", "string-for-int", "bool-for-str",
             "not-an-object", "model-field-out-of-range", "unknown-gen-key",
-            "string-for-float", "string-in-dict", "frame-too-small"])
+            "string-for-float", "string-in-dict", "frame-too-small", "removed-gen-key",
+            "misspelt-split", "negative-count", "unknown-frame-class", "negative-probability",
+            "not-json", "not-utf-8"])
     def test_bad_config_is_a_data_error_naming_the_file_and_key(
             self, tmp_path, capsys, command, content, defect):
+        # bytes are written as they are, anything else as JSON
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(content))
+        config.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
         flag = "--model-config" if command == "train" else "--config"
         extra = ["--dataset", str(tmp_path / "ds")] if command == "train" else []
         code, _, err = run(capsys, command, flag, str(config), *extra,
@@ -540,5 +555,5 @@ class TestUsage:
     def test_unreadable_config_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--config", str(tmp_path / "none.json"),
                            "--out", str(tmp_path / "ds"))
-        assert code == 1
-        assert "cannot read config" in err
+        assert code == 2
+        assert f"error: {tmp_path / 'none.json'}: cannot read config" in err

@@ -65,7 +65,7 @@ class TestConfig:
     def test_json_round_trip(self):
         import json
         config = tiny(fusion="static", mode="avc")
-        assert ModelConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(config)))) == config
+        assert ModelConfig(**json.loads(json.dumps(dataclasses.asdict(config)))) == config
 
 
 class TestEncoders:
