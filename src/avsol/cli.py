@@ -54,8 +54,11 @@ def _load_config(cls, path, flag_values: dict):
         for key, value in values.items():
             if key not in defaults:
                 raise ConfigError(f"{path}: unknown key {key!r}")
-            if not _like(value, defaults[key]):
-                raise ConfigError(f"{path}: key {key!r} has a value of the wrong type, {value!r}")
+            try:
+                values[key] = _conform(value, defaults[key])
+            except TypeError:
+                raise ConfigError(f"{path}: key {key!r} has a value of the wrong type, "
+                                  f"{value!r}") from None
     values.update({k: v for k, v in flag_values.items() if v is not None})
     try:
         return cls(**values)
@@ -63,13 +66,18 @@ def _load_config(cls, path, flag_values: dict):
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
-def _like(value, default) -> bool:
-    # exact JSON types, so true is no number, except that an int is a float;
-    # a dict's values must be like the default's first value
-    if isinstance(default, dict):
+def _conform(value, default):
+    # `value` with the exact JSON type of `default`, else TypeError: true is no
+    # number, but an int stands for a float and is stored as one, so 1 and 1.0
+    # hash equal; a dict's values must conform to the default's first value
+    if isinstance(default, dict) and isinstance(value, dict):
         sample = next(iter(default.values()))
-        return isinstance(value, dict) and all(_like(v, sample) for v in value.values())
-    return type(value) is type(default) or (type(default), type(value)) == (float, int)
+        return {k: _conform(v, sample) for k, v in value.items()}
+    if type(value) is type(default):
+        return value
+    if (type(default), type(value)) == (float, int):
+        return float(value)
+    raise TypeError
 
 
 def _snapshot(out_dir: Path, resolved: dict):
@@ -138,12 +146,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.corrupt_op:
-        T.set_grad_tamper(args.corrupt_op, 1.01)
-    try:
-        report = gc.run_report(args.seed, draws=args.draws)
-    finally:
-        T.set_grad_tamper(None, 1.0)
+    report = gc.run_report(args.seed, draws=args.draws)
     failed = [name for name, err in report.items() if err > gc.TOLERANCE]
     for name, err in report.items():
         status = "FAIL" if name in failed else "ok"
@@ -174,18 +177,27 @@ def cmd_render(args) -> int:
     frames = [f for f in index.frames if f.video_id == clip_id]
     if not frames:
         raise MetricError(f"no annotations for clip id {clip_id!r}")
+    height, width = video.shape[1:3]
+    for frame in frames:
+        key, tag = (frame.video_id, frame.frame_index), f"{frame.video_id}@{frame.frame_index}"
+        if frame.frame_index >= video.shape[0]:
+            raise MetricError(f"{args.annotations}: frame {tag} is outside clip {args.clip} "
+                              f"of shape {video.shape}")
+        if key not in heatmaps:
+            raise MetricError(f"no heatmap for frame {tag}")
+        grid = heatmaps[key].values.shape
+        if 0 in grid or height % grid[0] or width % grid[1]:
+            raise MetricError(f"{args.heatmaps}: heatmap {tag} of shape {grid} does not tile "
+                              f"the {height}x{width} frames of clip {args.clip}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for frame in frames:
-        key = (frame.video_id, frame.frame_index)
-        if key not in heatmaps:
-            raise MetricError(f"no heatmap for frame {frame.video_id}@{frame.frame_index}")
         gray = (255 * np.clip(video[frame.frame_index, :, :, 0], 0.0, 1.0)).astype(np.uint8)
         rgb = np.stack([gray, gray, gray], axis=-1)
         # min-max normalization here is display-only
-        hm = minmax_normalize(heatmaps[key]).values
-        ry = gray.shape[0] // hm.shape[0]
-        rx = gray.shape[1] // hm.shape[1]
+        hm = minmax_normalize(heatmaps[(frame.video_id, frame.frame_index)]).values
+        ry = height // hm.shape[0]
+        rx = width // hm.shape[1]
         overlay = np.kron(hm, np.ones((ry, rx)))
         rgb[:, :, 0] = np.clip(rgb[:, :, 0] + 128 * overlay, 0, 255).astype(np.uint8)
         for box in frame.boxes:
@@ -230,7 +242,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--corrupt-op", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("render", help="overlay heatmaps and boxes on clip frames")

@@ -70,6 +70,8 @@ def op_check_cases(rng):
 
 def check_ops(seed: int, draws: int = 20) -> dict:
     """Max relative finite-difference error per registered op over seeded draws."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     worst = {name: 0.0 for name in T.OP_REGISTRY}
     for draw in range(draws):
         rng = np.random.default_rng(np.random.SeedSequence((seed, draw)))

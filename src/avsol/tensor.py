@@ -2,9 +2,9 @@
 
 Covers exactly the op set the localization model needs: elementwise
 arithmetic, matmul, 'same' 2D/3D convolution, one fused GRU step
-(`gru_cell`, convolution or matrix-product gates), block average pooling,
-sigmoid/tanh/softmax, L2 normalization, global max, binary
-cross-entropy and a few layout ops.  No broadcasting beyond
+(`gru_cell`, convolution gates; a vector state runs as a 1x1 grid),
+block average pooling, sigmoid/tanh/softmax, L2 normalization, global
+max, binary cross-entropy and a few layout ops.  No broadcasting beyond
 scalar-with-tensor; any other shape mismatch raises ShapeError, which
 marks a bug in the calling code rather than bad data.
 """
@@ -27,17 +27,6 @@ class GraphError(RuntimeError):
 
 # op name -> one-line description; gradient checking walks this registry
 OP_REGISTRY: dict[str, str] = {}
-
-# test hook: (op_name, factor). The incoming gradient of every node produced
-# by the named op is scaled before its backward rule runs, so a gradient
-# check over that op must fail. Never set outside tests/CLI negative control.
-_GRAD_TAMPER: tuple[str, float] | None = None
-
-
-def set_grad_tamper(op_name, factor):
-    global _GRAD_TAMPER
-    _GRAD_TAMPER = None if op_name is None else (op_name, float(factor))
-
 
 class Tensor:
     """A node in the differentiation graph holding a float64 ndarray."""
@@ -130,10 +119,7 @@ def backward(loss):
     for t in reversed(topo):
         if t._backward_rule is None or t.grad is None:
             continue
-        g = t.grad
-        if _GRAD_TAMPER is not None and t._op == _GRAD_TAMPER[0]:
-            g = g * _GRAD_TAMPER[1]
-        t._backward_rule(g)
+        t._backward_rule(t.grad)
     loss._spent = True
 
 
@@ -297,8 +283,8 @@ def conv3d(x, kernel, bias=None):
     return _conv_nd("conv3d", x, kernel, bias, 3)
 
 
-OP_REGISTRY["gru_cell"] = ("one GRU step: 'same' convolution gates for a (D, h, w) state, "
-                           "matrix-product gates for a (D,) state")
+OP_REGISTRY["gru_cell"] = ("one GRU step with 'same' convolution gates over a (D, h, w) "
+                           "state; a (D,) state runs as a 1x1 grid")
 
 
 def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
@@ -307,7 +293,8 @@ def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
     z = sigmoid(W_u [x; h] + b_u), r = sigmoid(W_r [x; h] + b_r),
     n = tanh(W_c [x; r h] + b_c), and the new state is (1 - z) h + z n.
     For a (D, h, w) state each W is a (D, 2D, k, k) kernel of a 'same'
-    convolution (a ConvGRU); for a (D,) state it is a (D, 2D) matrix.
+    convolution (a ConvGRU). A (D,) state with (D, 2D) matrices is the 1x1
+    case: it runs as a (D, 1, 1) grid with (D, 2D, 1, 1) kernels.
 
     Forward and backward evaluate the numpy expressions of the composition
     of stacking [x; h], conv2d or matmul, add, sigmoid, tanh and mul in the
@@ -330,63 +317,50 @@ def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
     if grid and (len(wshape) != 4 or any(k % 2 == 0 for k in wshape[2:])):
         raise ShapeError(f"gru_cell: kernels must be 2D with odd sizes, got {wshape}")
 
-    if grid:
-        idx = _gather_index(x.shape[1:], wshape[2:])
-        cells = idx.shape[1]
+    shape = x.shape if grid else (d, 1, 1)
+    idx = _gather_index(shape[1:], wshape[2:] if grid else (1, 1))
+    cells = idx.shape[1]
 
-        def operand(v):  # what a gate's weights multiply: the im2col columns
-            return _im2col(v, idx)
+    def gate(w, b, cols):
+        return (w.data.reshape(d, -1) @ cols).reshape(shape) + b.data.reshape(d, 1, 1)
 
-        def gate(w, b, cols):
-            return (w.data.reshape(d, -1) @ cols).reshape(x.shape) + b.data.reshape(d, 1, 1)
+    def gate_grads(w, cols, g):  # -> (dW, db, d[x; h])
+        g2 = g.reshape(d, cells)
+        return ((g2 @ cols.T).reshape(w.shape), g2.sum(axis=1),
+                _col2im(w.data.reshape(d, -1).T @ g2, idx, xh.shape))
 
-        def gate_grads(w, cols, g):  # -> (dW, db, d[x; h])
-            g2 = g.reshape(d, cells)
-            w2 = w.data.reshape(d, -1)
-            return ((g2 @ cols.T).reshape(w.shape), g2.sum(axis=1),
-                    _col2im(w2.T @ g2, idx, xh.shape))
-    else:
-        def operand(v):
-            return v
-
-        def gate(w, b, v):
-            return w.data @ v + b.data
-
-        def gate_grads(w, v, g):
-            g2 = g.reshape(d, 1)
-            return (g2 @ v.reshape(-1, 1).T).reshape(w.shape), g, (w.data.T @ g2).reshape(v.shape)
-
-    hd = h.data
-    xh = np.concatenate([x.data, hd], axis=0)
-    xh_op = operand(xh)  # shared by the update and reset gates
-    pre_z = gate(wu, bu, xh_op)
-    pre_r = gate(wr, br, xh_op)
+    xd, hd = x.data.reshape(shape), h.data.reshape(shape)
+    xh = np.concatenate([xd, hd], axis=0)
+    xh_cols = _im2col(xh, idx)  # shared by the update and reset gates
+    pre_z = gate(wu, bu, xh_cols)
+    pre_r = gate(wr, br, xh_cols)
     z = 1.0 / (1.0 + np.exp(-pre_z))
     r = 1.0 / (1.0 + np.exp(-pre_r))
-    xrh = np.concatenate([x.data, r * hd], axis=0)
-    pre_n = gate(wc, bc, operand(xrh))
+    xrh = np.concatenate([xd, r * hd], axis=0)
+    pre_n = gate(wc, bc, _im2col(xrh, idx))
     for name, pre in (("update", pre_z), ("reset", pre_r), ("candidate", pre_n)):
         if not np.isfinite(pre).all():
             raise ValueError(f"gru_cell: {name} gate pre-activation must be finite")
     n = np.tanh(pre_n)
     keep = 1.0 - z
-    out = keep * hd + z * n
+    out = (keep * hd + z * n).reshape(x.shape)
 
-    # as in _conv_nd, the operands are rebuilt rather than kept
+    # as in _conv_nd, the columns are rebuilt rather than kept
     def rule(g):
+        g = g.reshape(shape)
         g_pre_z = (g * n - g * hd) * z * (1.0 - z)
         g_pre_n = g * z * (1.0 - n * n)
-        dwc, dbc, dxrh = gate_grads(wc, operand(xrh), g_pre_n)
+        dwc, dbc, dxrh = gate_grads(wc, _im2col(xrh, idx), g_pre_n)
         g_rh = dxrh[d:]
         g_pre_r = g_rh * hd * r * (1.0 - r)
-        xh_op = operand(xh)
-        dwr, dbr, dxh_r = gate_grads(wr, xh_op, g_pre_r)
-        dwu, dbu, dxh_u = gate_grads(wu, xh_op, g_pre_z)
+        xh_cols = _im2col(xh, idx)
+        dwr, dbr, dxh_r = gate_grads(wr, xh_cols, g_pre_r)
+        dwu, dbu, dxh_u = gate_grads(wu, xh_cols, g_pre_z)
         dxh = dxh_r + dxh_u
         for t, grad in ((wu, dwu), (bu, dbu), (wr, dwr), (br, dbr), (wc, dwc), (bc, dbc)):
             _accum(t, grad)
-        _accum(x, dxrh[:d] + dxh[:d])
-        _accum(h, (g_rh * r + g * keep) + dxh[d:])
+        _accum(x, (dxrh[:d] + dxh[:d]).reshape(x.shape))
+        _accum(h, ((g_rh * r + g * keep) + dxh[d:]).reshape(h.shape))
 
     return _node(out, (x, h, wu, bu, wr, br, wc, bc), "gru_cell", rule)
 

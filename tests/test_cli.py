@@ -310,6 +310,32 @@ class TestClipFileDefects:
         assert f"{clip}: non-finite log-mel value at byte 158" in err
 
 
+class TestRenderMismatches:
+    """Well-formed files that do not fit together exit 2 naming the file,
+    the frame and the shapes."""
+
+    def test_annotated_frame_outside_the_clip(self, tmp_path):
+        clip, annotations, maps = small_render_files(tmp_path)
+        frames = tuple(FrameAnnotation(video_id="c", frame_index=t, width=4, height=4, boxes=())
+                       for t in range(4))
+        annotations.write_bytes(serialize_annotations(DatasetIndex.from_frames(frames)))
+        write_heatmaps(maps, [("c", t, Heatmap(np.zeros((2, 2)))) for t in range(4)])
+        code, err = render_exit_code(clip, annotations, maps)
+        assert code == 2
+        assert f"{annotations}: frame c@2 is outside clip {clip} of shape (2, 4, 4, 1)" in err
+        assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("grid", [(3, 3), (8, 8), (2, 0)])
+    def test_heatmap_grid_that_does_not_tile_the_frame(self, tmp_path, grid):
+        clip, annotations, maps = small_render_files(tmp_path)
+        write_heatmaps(maps, [("c", t, Heatmap(np.zeros(grid))) for t in range(2)])
+        code, err = render_exit_code(clip, annotations, maps)
+        assert code == 2
+        assert (f"{maps}: heatmap c@0 of shape {grid} does not tile "
+                f"the 4x4 frames of clip {clip}") in err
+        assert not (tmp_path / "frames").exists()
+
+
 class TestHeatmapFileByteFlips:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -403,6 +429,21 @@ class TestManifestRecords:
         assert f"{copy / 'manifest.json'}: not a JSON manifest: Expecting property name" in err
 
 
+def corrupt(monkeypatch, op):
+    """Wrap `tensor.<op>` so every node it builds passes on its incoming
+    gradient x1.01: a gradient check over that op must then fail."""
+    raw = getattr(T, op)
+
+    def wrapped(*args, **kwargs):
+        out = raw(*args, **kwargs)
+        rule = out._backward_rule
+        if rule is not None:
+            out._backward_rule = lambda g: rule(g * 1.01)
+        return out
+
+    monkeypatch.setattr(T, op, wrapped)
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "2")
@@ -410,17 +451,24 @@ class TestGradcheck:
         assert "conv2d" in out and "end_to_end" in out
         assert "FAIL" not in out
 
-    def test_corrupted_op_is_detected_and_named(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "2",
-                           "--corrupt-op", "matmul")
+    def test_corrupted_op_is_detected_and_named(self, capsys, monkeypatch):
+        corrupt(monkeypatch, "matmul")
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "2")
         assert code == 3
         assert "matmul" in out and "FAIL" in out
 
-    def test_corrupted_gru_cell_is_detected_and_named(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "1",
-                           "--corrupt-op", "gru_cell")
+    def test_corrupted_gru_cell_is_detected_and_named(self, capsys, monkeypatch):
+        corrupt(monkeypatch, "gru_cell")
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "1")
         assert code == 3
         assert "gradient check failed for: gru_cell" in out
+
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_fewer_than_one_draw_is_a_data_error(self, capsys, draws):
+        code, out, err = run(capsys, "gradcheck", "--seed", "0", "--draws", str(draws))
+        assert code == 2
+        assert f"error: draws must be >= 1, got {draws}" in err
+        assert out == ""
 
 
 class TestExitCodes:
@@ -540,6 +588,25 @@ class TestConfigFiles:
         assert code == 2
         assert f"error: {config}: {defect}" in err
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("as_int, as_float", [
+        ({"distractor_fraction": 1}, {"distractor_fraction": 1.0}),
+        ({"class_probs": {"ave_single": 1}}, {"class_probs": {"ave_single": 1.0}}),
+    ], ids=["float-field", "class-probs-value"])
+    def test_an_int_for_a_float_gives_the_same_config_hash(
+            self, tmp_path, capsys, as_int, as_float):
+        written = []
+        for name, content in (("int", as_int), ("float", as_float)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(
+                {"clips_per_split": {"train": 1, "val": 1, "test": 1}, **content}))
+            out = tmp_path / name
+            assert run(capsys, "gen", "--config", str(config), "--out", str(out))[0] == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            written.append((manifest["config_sha256"],
+                            (out / "resolved_config.json").read_bytes()))
+        assert written[0] == written[1]
 
 
 class TestUsage:

@@ -263,7 +263,8 @@ def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
 
 
 class TestGruCell:
-    SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "vector": ((4,), (4, 8))}
+    SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "vector": ((4,), (4, 8)),
+              "pointwise": ((4, 1, 1), (4, 8, 1, 1))}
 
     def inputs(self, seed, state, h_requires_grad=True):
         rng = np.random.default_rng(seed)
@@ -276,7 +277,7 @@ class TestGruCell:
         tensors[1].requires_grad = h_requires_grad
         return tensors, scale
 
-    @pytest.mark.parametrize("state", ["grid", "vector"])
+    @pytest.mark.parametrize("state", ["grid", "vector", "pointwise"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bit_identical_to_the_composed_cell(self, state, seed):
         results = []
@@ -292,7 +293,7 @@ class TestGruCell:
             assert want is not None and np.abs(want).max() > 0, k
             assert np.array_equal(got, want), k
 
-    @pytest.mark.parametrize("state", ["grid", "vector"])
+    @pytest.mark.parametrize("state", ["grid", "vector", "pointwise"])
     def test_constant_state_gets_no_gradient(self, state):
         results = []
         for cell in (T.gru_cell, composed_gru_cell):
