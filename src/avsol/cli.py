@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -80,6 +81,12 @@ def _conform(value, default):
     raise TypeError
 
 
+def _require(ok: bool, flag: str, value, want: str):
+    # checked before anything is written under --out
+    if not ok:
+        raise ConfigError(f"{flag} must be {want}, got {value}")
+
+
 def _snapshot(out_dir: Path, resolved: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
@@ -87,6 +94,7 @@ def _snapshot(out_dir: Path, resolved: dict):
 
 
 def cmd_gen(args) -> int:
+    _require(args.seed is None or args.seed >= 0, "--seed", args.seed, ">= 0")
     config = _load_config(GeneratorConfig, args.config, {"seed": args.seed})
     out = Path(args.out)
     _snapshot(out, dataclasses.asdict(config))
@@ -96,6 +104,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
+    _require(args.epochs >= 0, "--epochs", args.epochs, ">= 0")
+    _require(math.isfinite(args.lr) and args.lr > 0, "--lr", args.lr, "a finite number > 0")
     config = _load_config(ModelConfig, args.model_config,
                           {"mode": args.mode, "fusion": args.fusion})
     out = Path(args.out)
@@ -146,6 +157,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     report = gc.run_report(args.seed, draws=args.draws)
     failed = [name for name, err in report.items() if err > gc.TOLERANCE]
     for name, err in report.items():

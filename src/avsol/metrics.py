@@ -8,6 +8,7 @@ heatmaps must not be per-frame normalized before it.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -50,6 +51,12 @@ class EvalFrame:
     annotation: FrameAnnotation
     frame_class: FrameClass
 
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """Boolean sounding-box mask on the heatmap's grid, rasterized on first use."""
+        return rasterize_boxes(self.annotation, self.heatmap.width,
+                               self.heatmap.height).astype(bool)
+
 
 def _check_mask(heatmap: Heatmap, mask: np.ndarray):
     mask = np.asarray(mask)
@@ -86,15 +93,6 @@ def hmbox_auc(heatmap: Heatmap, mask: np.ndarray) -> float:
     return float(np.sum(precision * steps))
 
 
-def peak_cells(heatmap: Heatmap) -> np.ndarray:
-    """Boolean grid marking every cell attaining the maximum value."""
-    return heatmap.values == heatmap.values.max()
-
-
-def _frame_mask(frame: EvalFrame) -> np.ndarray:
-    return rasterize_boxes(frame.annotation, frame.heatmap.width, frame.heatmap.height)
-
-
 def pibr(frames) -> float:
     """Fraction of AVE frames whose heatmap peak lands inside a sounding box."""
     frames = list(frames)
@@ -105,8 +103,8 @@ def pibr(frames) -> float:
         if not frame.frame_class.is_ave:
             raise MetricError(f"pibr: frame {frame.annotation.video_id}@"
                               f"{frame.annotation.frame_index} is not an AVE frame")
-        mask = _frame_mask(frame).astype(bool)
-        if (peak_cells(frame.heatmap) & mask).any():
+        values = frame.heatmap.values
+        if ((values == values.max()) & frame.mask).any():
             hits += 1
     return hits / len(frames)
 
@@ -117,11 +115,10 @@ def pnsr(frames) -> float:
     signal_peaks = []
     for frame in frames:
         if frame.frame_class.is_ave:
-            mask = _frame_mask(frame).astype(bool)
-            if not mask.any():
+            if not frame.mask.any():
                 raise MetricError(f"pnsr: AVE frame {frame.annotation.video_id}@"
                                   f"{frame.annotation.frame_index} rasterizes to an empty mask")
-            signal_peaks.append(float(frame.heatmap.values[mask].max()))
+            signal_peaks.append(float(frame.heatmap.values[frame.mask].max()))
         else:
             noise_peaks.append(float(frame.heatmap.values.max()))
     if not signal_peaks:
@@ -141,13 +138,6 @@ def minmax_normalize(heatmap: Heatmap) -> Heatmap:
     if hi == lo:
         return Heatmap(np.zeros_like(heatmap.values))
     return Heatmap((heatmap.values - lo) / (hi - lo))
-
-
-_PNSR_BUCKET = {
-    FrameClass.NON_AVE_VISIBLE: "visible",
-    FrameClass.NON_AVE_AUDIBLE: "audible",
-    FrameClass.NON_AVE_NOISE: "noise",
-}
 
 
 @dataclass(frozen=True)
@@ -188,7 +178,9 @@ def evaluate(index: DatasetIndex, heatmaps, grid_w: int, grid_h: int) -> Metrics
     heatmaps: mapping (video_id, frame_index) -> Heatmap, one per annotated
     frame, all on the same (grid_h, grid_w) grid. HmBoxAUC and PiBR are
     per-frame means over AVE frames; each PNSR subclass uses that subclass's
-    frames as numerator against the global AVE denominator.
+    frames as numerator against the global AVE denominator. Each AVE frame's
+    mask is rasterized and its HmBoxAUC swept once, and every bucket averages
+    those per-frame values.
     """
     missing = [(f.video_id, f.frame_index) for f in index.frames
                if (f.video_id, f.frame_index) not in heatmaps]
@@ -197,38 +189,34 @@ def evaluate(index: DatasetIndex, heatmaps, grid_w: int, grid_h: int) -> Metrics
         raise MetricError(f"missing heatmaps for frames: {names}")
 
     frames = []
+    by_class = {cls: [] for cls in FrameClass}
     for ann in index.frames:  # already sorted; reduction order is deterministic
         hm = heatmaps[(ann.video_id, ann.frame_index)]
         if hm.values.shape != (grid_h, grid_w):
             raise MetricError(f"heatmap for {ann.video_id}@{ann.frame_index} has shape "
                               f"{hm.values.shape}, expected {(grid_h, grid_w)}")
-        frames.append(EvalFrame(heatmap=hm, annotation=ann, frame_class=classify_frame(ann)))
-
-    counts = {cls.value: 0 for cls in FrameClass}
-    for f in frames:
-        counts[f.frame_class.value] += 1
+        frame = EvalFrame(heatmap=hm, annotation=ann, frame_class=classify_frame(ann))
+        frames.append(frame)
+        by_class[frame.frame_class].append(frame)
+    counts = {cls.value: len(group) for cls, group in by_class.items()}
     counts["total"] = len(frames)
 
     ave = [f for f in frames if f.frame_class.is_ave]
-    single = [f for f in ave if f.frame_class is FrameClass.AVE_SINGLE]
-    multi = [f for f in ave if f.frame_class is FrameClass.AVE_MULTI]
-
+    auc = {id(f): hmbox_auc(f.heatmap, f.mask) for f in ave}
     report_auc = {}
     report_pibr = {}
-    for key, bucket in (("all", ave), ("single", single), ("multi", multi)):
+    for key, bucket in (("all", ave), ("single", by_class[FrameClass.AVE_SINGLE]),
+                        ("multi", by_class[FrameClass.AVE_MULTI])):
         if bucket:
-            report_auc[key] = float(np.mean([hmbox_auc(f.heatmap, _frame_mask(f))
-                                             for f in bucket]))
+            report_auc[key] = float(np.mean([auc[id(f)] for f in bucket]))
             report_pibr[key] = pibr(bucket)
 
     report_pnsr = {}
-    non_ave = [f for f in frames if not f.frame_class.is_ave]
-    if ave and non_ave:
+    if ave and len(ave) < len(frames):
         report_pnsr["all"] = pnsr(frames)
-        for cls, key in _PNSR_BUCKET.items():
-            subset = [f for f in non_ave if f.frame_class is cls]
-            if subset:
-                report_pnsr[key] = pnsr(ave + subset)
+        for cls, subset in by_class.items():
+            if subset and not cls.is_ave:
+                report_pnsr[cls.value.removeprefix("non_ave_")] = pnsr(ave + subset)
 
     return MetricsReport(hmbox_auc=report_auc, pibr=report_pibr,
                          pnsr=report_pnsr, counts=counts)

@@ -78,6 +78,8 @@ class GeneratorConfig:
                 raise GeneratorError(f"class_probs: {name!r} must be >= 0, got {prob}")
         if not 0.0 <= self.distractor_fraction <= 1.0:
             raise GeneratorError("distractor_fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise GeneratorError(f"seed must be >= 0, got {self.seed}")
 
     def content_hash(self) -> str:
         canonical = json.dumps(asdict(self), sort_keys=True)

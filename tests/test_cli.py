@@ -569,13 +569,14 @@ class TestConfigFiles:
          "class_probs: unknown frame class 'ave_triple'"),
         ("gen", {"class_probs": {"ave_single": 1.5, "ave_multi": -0.5}},
          "class_probs: 'ave_multi' must be >= 0, got -0.5"),
+        ("gen", {"seed": -1}, "seed must be >= 0, got -1"),
         ("gen", b"{bad", "cannot read config: Expecting property name"),
         ("gen", b'{"seed": "\xff"}', "cannot read config: 'utf-8' codec can't decode byte 0xff"),
     ], ids=["unknown-model-key", "removed-model-key", "string-for-int", "bool-for-str",
             "not-an-object", "model-field-out-of-range", "unknown-gen-key",
             "string-for-float", "string-in-dict", "frame-too-small", "removed-gen-key",
             "misspelt-split", "negative-count", "unknown-frame-class", "negative-probability",
-            "not-json", "not-utf-8"])
+            "negative-seed", "not-json", "not-utf-8"])
     def test_bad_config_is_a_data_error_naming_the_file_and_key(
             self, tmp_path, capsys, command, content, defect):
         # bytes are written as they are, anything else as JSON
@@ -607,6 +608,30 @@ class TestConfigFiles:
             written.append((manifest["config_sha256"],
                             (out / "resolved_config.json").read_bytes()))
         assert written[0] == written[1]
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command, flag, value, defect", [
+        ("gen", "--seed", "-1", ">= 0, got -1"),
+        ("train", "--seed", "-1", ">= 0, got -1"),
+        ("train", "--epochs", "-2", ">= 0, got -2"),
+        ("train", "--lr", "-1", "a finite number > 0, got -1.0"),
+        ("train", "--lr", "0", "a finite number > 0, got 0.0"),
+        ("train", "--lr", "nan", "a finite number > 0, got nan"),
+        ("gradcheck", "--seed", "-1", ">= 0, got -1"),
+    ], ids=["gen-seed", "train-seed", "train-epochs", "train-lr-negative", "train-lr-zero",
+            "train-lr-nan", "gradcheck-seed"])
+    def test_out_of_range_flag_is_a_data_error_naming_it(
+            self, dataset, tmp_path, capsys, command, flag, value, defect):
+        out = tmp_path / "out"
+        extra = {"gen": ["--out", str(out)],
+                 "train": ["--dataset", str(dataset), "--epochs", "1", "--out", str(out)],
+                 "gradcheck": ["--draws", "1"]}[command]
+        code, stdout, err = run(capsys, command, *extra, flag, value)
+        assert code == 2
+        assert f"error: {flag} must be {defect}" in err
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestUsage:

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from avsol import metrics
 from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation,
                               FrameClass, classify_frame, rasterize_boxes)
 from avsol.binfile import FormatError
-from avsol.metrics import (EvalFrame, Heatmap, MetricError, evaluate,
+from avsol.metrics import (EvalFrame, Heatmap, MetricError, MetricsReport, evaluate,
                            hmbox_auc, minmax_normalize, pibr, pnsr,
                            read_heatmaps, write_heatmaps)
 
@@ -332,7 +335,86 @@ def mixed_fixture():
     return DatasetIndex.from_frames(annotations), heatmaps
 
 
+def seeded_fixture(seed, grid, n_frames=40):
+    """Frames cycling through all five classes, random boxes and heatmaps.
+
+    Every box side is at least a quarter of the frame, so a sounding box
+    covers a cell centre on any grid of 4 or more cells a side. Every other
+    heatmap is rounded to one decimal, so ties occur.
+    """
+    rng = np.random.default_rng(seed)
+
+    def random_box(sounding=True):
+        w, h = rng.uniform(25, 50, 2)
+        x0, y0 = rng.uniform(0, 100 - w), rng.uniform(0, 100 - h)
+        return box(x0, y0, x0 + w, y0 + h, sounding=sounding)
+
+    annotations, heatmaps = [], {}
+    for k in range(n_frames):
+        silent = [random_box(sounding=False)] if rng.random() < 0.5 else []
+        boxes = [[random_box()] + silent,
+                 [random_box(), random_box()] + silent,
+                 [random_box(sounding=False)] + silent,
+                 [box(0, 0, 100, 100, out_of_view=True)] + silent,
+                 []][k % 5]
+        ann = frame(f"v{k // 8}", k % 8, boxes)
+        values = rng.random((grid, grid))
+        annotations.append(ann)
+        heatmaps[(ann.video_id, ann.frame_index)] = Heatmap(values.round(1) if k % 2 else values)
+    return DatasetIndex.from_frames(annotations), heatmaps
+
+
+def bucket_by_bucket_report(index, heatmaps, grid):
+    """The report with every metric called on its own bucket's frames."""
+    frames = [eval_frame(ann, heatmaps[(ann.video_id, ann.frame_index)].values)
+              for ann in index.frames]
+    ave = [f for f in frames if f.frame_class.is_ave]
+    buckets = {"all": ave,
+               "single": [f for f in ave if f.frame_class is FrameClass.AVE_SINGLE],
+               "multi": [f for f in ave if f.frame_class is FrameClass.AVE_MULTI]}
+    return MetricsReport(
+        hmbox_auc={key: float(np.mean([hmbox_auc(f.heatmap,
+                                                 rasterize_boxes(f.annotation, grid, grid))
+                                       for f in bucket]))
+                   for key, bucket in buckets.items()},
+        pibr={key: pibr(bucket) for key, bucket in buckets.items()},
+        pnsr={"all": pnsr(frames),
+              "visible": pnsr(ave + [f for f in frames
+                                     if f.frame_class is FrameClass.NON_AVE_VISIBLE]),
+              "audible": pnsr(ave + [f for f in frames
+                                     if f.frame_class is FrameClass.NON_AVE_AUDIBLE]),
+              "noise": pnsr(ave + [f for f in frames
+                                   if f.frame_class is FrameClass.NON_AVE_NOISE])},
+        counts={**{cls.value: sum(f.frame_class is cls for f in frames) for cls in FrameClass},
+                "total": len(frames)})
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("grid", [4, 7, 24])
+    def test_report_equals_bucket_by_bucket_metrics(self, grid):
+        index, heatmaps = seeded_fixture(grid, grid)
+        assert evaluate(index, heatmaps, grid, grid) == bucket_by_bucket_report(
+            index, heatmaps, grid)
+
+    def test_each_ave_frame_is_rasterized_and_swept_once(self, monkeypatch):
+        index, heatmaps = seeded_fixture(3, 7)
+        rasterized, swept = Counter(), Counter()
+
+        def spy(counter, fn, key):
+            def wrapper(*args):
+                counter[key(*args)] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "rasterize_boxes", spy(
+            rasterized, metrics.rasterize_boxes, lambda ann, w, h: (ann.video_id, ann.frame_index)))
+        monkeypatch.setattr(metrics, "hmbox_auc", spy(
+            swept, metrics.hmbox_auc, lambda heatmap, mask: id(heatmap)))
+        evaluate(index, heatmaps, 7, 7)
+        ave = [(f.video_id, f.frame_index) for f in index.frames if classify_frame(f).is_ave]
+        assert rasterized == Counter(ave)
+        assert swept == Counter(id(heatmaps[key]) for key in ave)
+
     def test_hand_computed_report(self):
         index, heatmaps = mixed_fixture()
         report = evaluate(index, heatmaps, 4, 4)
