@@ -19,7 +19,8 @@ import numpy as np
 from . import gradcheck as gc
 from . import tensor as T
 from .annotation import parse_annotations
-from .dnm import ConfigError, DnmModel, ModelConfig, predict_heatmaps, train
+from .dnm import (FUSIONS, MODES, ConfigError, DnmModel, ModelConfig, predict_heatmaps,
+                  train)
 from .metrics import (MetricError, evaluate, minmax_normalize, read_heatmaps,
                       write_heatmaps)
 from .synth import GeneratorConfig, generate_dataset, load_split, read_clip
@@ -109,13 +110,20 @@ def cmd_train(args) -> int:
     _require(math.isfinite(args.lr) and args.lr > 0, "--lr", args.lr, "a finite number > 0")
     config = _load_config(ModelConfig, args.model_config,
                           {"mode": args.mode, "fusion": args.fusion})
-    out = Path(args.out)
-    _snapshot(out, {"model": dataclasses.asdict(config), "dataset": str(args.dataset),
-                    "epochs": args.epochs, "seed": args.seed, "lr": args.lr})
-
     train_clips = load_split(args.dataset, "train")
     val_clips = load_split(args.dataset, "val")
     test_clips = load_split(args.dataset, "test")
+    # negative pairs are drawn within a split, so a lone clip has none
+    manifest = Path(args.dataset) / "manifest.json"
+    if len(train_clips) < 2:
+        raise ConfigError(f"{manifest}: split 'train' has {len(train_clips)} clip(s), "
+                          f"training needs at least 2 to form negative pairs")
+    if len(val_clips) == 1:
+        raise ConfigError(f"{manifest}: split 'val' has 1 clip, validation needs 0 or "
+                          f"at least 2 to form negative pairs")
+    out = Path(args.out)
+    _snapshot(out, {"model": dataclasses.asdict(config), "dataset": str(args.dataset),
+                    "epochs": args.epochs, "seed": args.seed, "lr": args.lr})
 
     model = DnmModel(config, seed=args.seed)
     result = train(model, train_clips, epochs=args.epochs, seed=args.seed,
@@ -235,8 +243,8 @@ def build_parser():
     p = sub.add_parser("train", help="train a model and emit test heatmaps")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model-config", help="model config JSON")
-    p.add_argument("--mode", choices=("avc", "cls", "dnm"))
-    p.add_argument("--fusion", choices=("static", "cdf"))
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--fusion", choices=FUSIONS)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lr", type=float, default=3e-3)

@@ -6,7 +6,8 @@ heads read: per-cell sigmoid + global max pooling for the correspondence (MIL)
 head, and global softmax attention over a classification feature grid for
 the event head. Combined dynamic fusion (cdf) multiplies that grid by the
 cosine of the final states of a ConvGRU over the visual grid and a GRU over
-the audio features, one `tensor.gru_cell` node per modality and time step.
+the audio features, one `tensor.gru_cell` node per modality and time step;
+the audio GRU runs as a ConvGRU with 1x1 kernels over a (D, 1, 1) state.
 Everything is built from the tensor module's registered ops, so the whole
 forward pass is gradient-checkable.
 """
@@ -27,6 +28,7 @@ class ConfigError(ValueError):
 
 FUSIONS = ("static", "cdf")
 MODES = ("avc", "cls", "dnm")
+KERNEL = 3  # size of every encoder and ConvGRU kernel along space and mel bins
 
 
 @dataclass
@@ -38,8 +40,6 @@ class ModelConfig:
     num_categories: int = 4
     visual_channels: int = 6
     audio_channels: int = 8
-    visual_kernel: int = 3
-    audio_kernel: int = 3
     fusion: str = "cdf"
     mode: str = "dnm"
 
@@ -52,8 +52,6 @@ class ModelConfig:
             raise ConfigError(f"fusion must be one of {FUSIONS}, got {self.fusion!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.visual_kernel % 2 == 0 or self.audio_kernel % 2 == 0:
-            raise ConfigError("kernel sizes must be odd")
 
     @property
     def cells(self) -> int:
@@ -80,17 +78,17 @@ class DnmModel:
         self._params: list[T.Parameter] = []
 
         cfg = config
-        # frame-wise kernels: visual_kernel and audio_kernel span space and mel
-        # bins, never time. The clip's loudness envelope, the cue that ties a
-        # soundtrack to its object, can cycle in under three frames, and two
-        # stacked 3-frame convolutions would smear it over five
-        kv, ka = cfg.visual_kernel, cfg.audio_kernel
+        # frame-wise kernels: they span space and mel bins, never time. The
+        # clip's loudness envelope, the cue that ties a soundtrack to its
+        # object, can cycle in under three frames, and two stacked 3-frame
+        # convolutions would smear it over five
+        k = KERNEL
         self.v_conv1_w = self._weight(rng, "v_conv1_w",
-                                      (cfg.visual_channels, 1, 1, kv, kv), kv ** 2)
+                                      (cfg.visual_channels, 1, 1, k, k), k * k)
         self.v_conv1_b = self._zeros("v_conv1_b", (cfg.visual_channels,))
         self.v_conv2_w = self._weight(rng, "v_conv2_w",
-                                      (cfg.feature_dim, cfg.visual_channels, 1, kv, kv),
-                                      cfg.visual_channels * kv ** 2)
+                                      (cfg.feature_dim, cfg.visual_channels, 1, k, k),
+                                      cfg.visual_channels * k * k)
         self.v_conv2_b = self._zeros("v_conv2_b", (cfg.feature_dim,))
         # pointwise classification branch off the first visual layer. It
         # shares v_conv1 with the similarity pathway, so the classification
@@ -101,11 +99,11 @@ class DnmModel:
         self.cls_conv_b = self._zeros("cls_conv_b", (cfg.cls_feature_dim,))
 
         self.a_conv1_w = self._weight(rng, "a_conv1_w",
-                                      (cfg.audio_channels, 1, ka, 1), ka)
+                                      (cfg.audio_channels, 1, k, 1), k)
         self.a_conv1_b = self._zeros("a_conv1_b", (cfg.audio_channels,))
         self.a_conv2_w = self._weight(rng, "a_conv2_w",
-                                      (cfg.feature_dim, cfg.audio_channels, ka, 1),
-                                      cfg.audio_channels * ka)
+                                      (cfg.feature_dim, cfg.audio_channels, k, 1),
+                                      cfg.audio_channels * k)
         self.a_conv2_b = self._zeros("a_conv2_b", (cfg.feature_dim,))
 
         self.fc_w = self._weight(rng, "fc_w", (cfg.cls_feature_dim, cfg.num_categories),
@@ -116,10 +114,11 @@ class DnmModel:
             d = cfg.feature_dim
             for gate in ("update", "reset", "cand"):
                 setattr(self, f"cgru_{gate}_w",
-                        self._weight(rng, f"cgru_{gate}_w", (d, 2 * d, 3, 3), 2 * d * 9))
+                        self._weight(rng, f"cgru_{gate}_w", (d, 2 * d, k, k), 2 * d * k * k))
                 setattr(self, f"cgru_{gate}_b", self._zeros(f"cgru_{gate}_b", (d,)))
+                # the audio GRU: 1x1 kernels over a (D, 1, 1) state
                 setattr(self, f"gru_{gate}_w",
-                        self._weight(rng, f"gru_{gate}_w", (d, 2 * d), 2 * d))
+                        self._weight(rng, f"gru_{gate}_w", (d, 2 * d, 1, 1), 2 * d))
                 setattr(self, f"gru_{gate}_b", self._zeros(f"gru_{gate}_b", (d,)))
 
         # affine calibration of the fused correlation into the score both heads
@@ -214,13 +213,15 @@ class DnmModel:
         grid features and a GRU over the audio features."""
         cfg = self.config
         hv = T.Tensor(np.zeros((cfg.feature_dim, cfg.grid_h, cfg.grid_w)))
-        ha = T.Tensor(np.zeros(cfg.feature_dim))
+        ha = T.Tensor(np.zeros((cfg.feature_dim, 1, 1)))
+        a = T.reshape(a, a.shape + (1, 1))  # each step's (D,) input as a (D, 1, 1) grid
         visual_gates, audio_gates = self._gates("cgru"), self._gates("gru")
         for t in range(v_seq.shape[0]):
             hv = T.gru_cell(T.take(v_seq, t), hv, *visual_gates)
             ha = T.gru_cell(T.take(a, t), ha, *audio_gates)
         v_final = T.transpose(T.reshape(hv, (cfg.feature_dim, cfg.cells)), (1, 0))
-        return T.matmul(T.l2_normalize(v_final, axis=1), T.l2_normalize(ha, axis=0))
+        a_final = T.reshape(ha, (cfg.feature_dim,))
+        return T.matmul(T.l2_normalize(v_final, axis=1), T.l2_normalize(a_final, axis=0))
 
     # ------------------------------------------------------------------
     # heads
@@ -307,7 +308,6 @@ def label_vector(labels, num_categories) -> np.ndarray:
 
 @dataclass
 class TrainResult:
-    model: DnmModel
     log: list = field(default_factory=list)
     best_epoch: int | None = None
 
@@ -391,7 +391,7 @@ def train(model: DnmModel, train_clips, epochs: int, seed: int, lr: float = 3e-3
         raise ValueError("need at least two clips to form negative pairs")
     num_categories = model.config.num_categories
     params = model.parameters()
-    result = TrainResult(model=model)
+    result = TrainResult()
     best_score = -1.0
     best_state = None
 

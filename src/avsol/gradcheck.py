@@ -56,15 +56,15 @@ def op_check_cases(rng):
          lambda ts: T.transpose(ts[0], (2, 0, 1)))
     case("take", (3,), [_rand(rng, 4, 3)], lambda ts: T.take(ts[0], 2))
 
-    # both ranks in one case: a 1-channel ConvGRU on a 2x3 grid and a 2-dim GRU
-    def gru_inputs(d, grid):
-        wshape = (d, 2 * d) + ((3, 3) if grid else ())
+    # two shapes in one case: a 1-channel ConvGRU on a 2x3 grid with 3x3 kernels
+    # and a 2-channel one with 1x1 kernels on a 1x1 grid, as the audio GRU runs
+    def gru_inputs(d, grid, k):
         return [_rand(rng, d, *grid), _rand(rng, d, *grid)] + [
-            t for _ in range(3) for t in (_rand(rng, *wshape), _rand(rng, d))]
+            t for _ in range(3) for t in (_rand(rng, d, 2 * d, k, k), _rand(rng, d))]
 
-    s_grid, s_vec = _scalarizer(rng, (1, 2, 3)), _scalarizer(rng, (2,))
-    cases["gru_cell"] = (lambda ts: s_grid(T.gru_cell(*ts[:8])) + s_vec(T.gru_cell(*ts[8:])),
-                         gru_inputs(1, (2, 3)) + gru_inputs(2, ()))
+    s_grid, s_point = _scalarizer(rng, (1, 2, 3)), _scalarizer(rng, (2, 1, 1))
+    cases["gru_cell"] = (lambda ts: s_grid(T.gru_cell(*ts[:8])) + s_point(T.gru_cell(*ts[8:])),
+                         gru_inputs(1, (2, 3), 3) + gru_inputs(2, (1, 1), 1))
     return cases
 
 

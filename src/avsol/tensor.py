@@ -2,7 +2,7 @@
 
 Covers exactly the op set the localization model needs: elementwise
 arithmetic, matmul, 'same' 2D/3D convolution, one fused GRU step
-(`gru_cell`, convolution gates; a vector state runs as a 1x1 grid),
+(`gru_cell`, convolution gates over a (D, h, w) state),
 block average pooling, sigmoid/tanh/softmax, L2 normalization, global
 max, binary cross-entropy and a few layout ops.  No broadcasting beyond
 scalar-with-tensor; any other shape mismatch raises ShapeError, which
@@ -228,7 +228,7 @@ def _col2im(dcol, idx, shape):
 
 
 def _conv_nd(op, x, kernel, bias, ndim):
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
+    x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != ndim + 1 or kernel.data.ndim != ndim + 2:
         raise ShapeError(f"{op}: expected input rank {ndim + 1} and kernel rank {ndim + 2}, "
                          f"got {x.shape} and {kernel.shape}")
@@ -239,21 +239,16 @@ def _conv_nd(op, x, kernel, bias, ndim):
         raise ShapeError(f"{op}: input channels {cin} != kernel channels {cin_k}")
     if any(k % 2 == 0 for k in ksizes):
         raise ShapeError(f"{op}: kernel sizes must be odd, got {ksizes}")
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
+    if bias.shape != (cout,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({cout},)")
 
     n = int(np.prod(spatial))
     idx = _gather_index(spatial, ksizes)
     xd = x.data
     w2 = kernel.data.reshape(cout, -1)  # rows (cin, *ksizes) match the im2col rows
 
-    out = (w2 @ _im2col(xd, idx)).reshape((cout,) + spatial)
-    if bias is not None:
-        out = out + bias.data.reshape((cout,) + (1,) * ndim)
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    out = (w2 @ _im2col(xd, idx)).reshape((cout,) + spatial) \
+        + bias.data.reshape((cout,) + (1,) * ndim)
 
     # the columns are rebuilt here rather than kept: two training graphs are
     # alive at once, and holding their columns would raise peak memory
@@ -261,75 +256,71 @@ def _conv_nd(op, x, kernel, bias, ndim):
         g2 = g.reshape(cout, n)
         if kernel.requires_grad:
             _accum(kernel, (g2 @ _im2col(xd, idx).T).reshape(kernel.shape))
-        if bias is not None:
-            _accum(bias, g2.sum(axis=1))
+        _accum(bias, g2.sum(axis=1))
         if x.requires_grad:
             _accum(x, _col2im(w2.T @ g2, idx, x.shape))
 
-    return _node(out, parents, op, rule)
+    return _node(out, (x, kernel, bias), op, rule)
 
 
 OP_REGISTRY["conv2d"] = "2D convolution, stride 1, zero-padded 'same'"
 
 
-def conv2d(x, kernel, bias=None):
+def conv2d(x, kernel, bias):
     return _conv_nd("conv2d", x, kernel, bias, 2)
 
 
 OP_REGISTRY["conv3d"] = "3D convolution, stride 1, zero-padded 'same'"
 
 
-def conv3d(x, kernel, bias=None):
+def conv3d(x, kernel, bias):
     return _conv_nd("conv3d", x, kernel, bias, 3)
 
 
-OP_REGISTRY["gru_cell"] = ("one GRU step with 'same' convolution gates over a (D, h, w) "
-                           "state; a (D,) state runs as a 1x1 grid")
+OP_REGISTRY["gru_cell"] = "one GRU step with 'same' convolution gates over a (D, h, w) state"
 
 
 def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
     """One GRU step as a single graph node.
 
     z = sigmoid(W_u [x; h] + b_u), r = sigmoid(W_r [x; h] + b_r),
-    n = tanh(W_c [x; r h] + b_c), and the new state is (1 - z) h + z n.
-    For a (D, h, w) state each W is a (D, 2D, k, k) kernel of a 'same'
-    convolution (a ConvGRU). A (D,) state with (D, 2D) matrices is the 1x1
-    case: it runs as a (D, 1, 1) grid with (D, 2D, 1, 1) kernels.
+    n = tanh(W_c [x; r h] + b_c), and the new state is (1 - z) h + z n,
+    where each W is a (D, 2D, k, k) kernel of a 'same' convolution over the
+    (D, h, w) state (a ConvGRU). A plain GRU over a (D,) vector is the case
+    of a (D, 1, 1) state and 1x1 kernels.
 
     Forward and backward evaluate the numpy expressions of the composition
-    of stacking [x; h], conv2d or matmul, add, sigmoid, tanh and mul in the
-    same order, gradients accumulated as that graph accumulates them, so
-    the results are bit-identical to it.
+    of stacking [x; h], conv2d, add, sigmoid, tanh and mul in the same
+    order, gradients accumulated as that graph accumulates them, so the
+    results are bit-identical to it.
     """
     x, h = _as_tensor(x), _as_tensor(h)
     wu, bu, wr, br, wc, bc = (_as_tensor(t) for t in
                               (w_update, b_update, w_reset, b_reset, w_cand, b_cand))
-    if x.shape != h.shape or x.data.ndim not in (1, 3):
+    if x.shape != h.shape or x.data.ndim != 3:
         raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} must share "
-                         f"a (D,) or (D, h, w) shape")
+                         f"a (D, h, w) shape")
     d = x.shape[0]
-    grid = x.data.ndim == 3
-    wshape = (d, 2 * d) + (wu.shape[2:] if grid else ())
+    wshape = (d, 2 * d) + wu.shape[2:]
     for w, b in ((wu, bu), (wr, br), (wc, bc)):
         if w.shape != wshape or b.shape != (d,):
             raise ShapeError(f"gru_cell: gate weight {w.shape} and bias {b.shape} "
                              f"!= {wshape} and ({d},)")
-    if grid and (len(wshape) != 4 or any(k % 2 == 0 for k in wshape[2:])):
+    if len(wshape) != 4 or any(k % 2 == 0 for k in wshape[2:]):
         raise ShapeError(f"gru_cell: kernels must be 2D with odd sizes, got {wshape}")
 
-    shape = x.shape if grid else (d, 1, 1)
-    idx = _gather_index(shape[1:], wshape[2:] if grid else (1, 1))
+    idx = _gather_index(x.shape[1:], wshape[2:])
     cells = idx.shape[1]
 
     def gate(w, b, cols):
-        return (w.data.reshape(d, -1) @ cols).reshape(shape) + b.data.reshape(d, 1, 1)
+        return (w.data.reshape(d, -1) @ cols).reshape(x.shape) + b.data.reshape(d, 1, 1)
 
     def gate_grads(w, cols, g):  # -> (dW, db, d[x; h])
         g2 = g.reshape(d, cells)
         return ((g2 @ cols.T).reshape(w.shape), g2.sum(axis=1),
                 _col2im(w.data.reshape(d, -1).T @ g2, idx, xh.shape))
 
-    xd, hd = x.data.reshape(shape), h.data.reshape(shape)
+    xd, hd = x.data, h.data
     xh = np.concatenate([xd, hd], axis=0)
     xh_cols = _im2col(xh, idx)  # shared by the update and reset gates
     pre_z = gate(wu, bu, xh_cols)
@@ -343,11 +334,10 @@ def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
             raise ValueError(f"gru_cell: {name} gate pre-activation must be finite")
     n = np.tanh(pre_n)
     keep = 1.0 - z
-    out = (keep * hd + z * n).reshape(x.shape)
+    out = keep * hd + z * n
 
     # as in _conv_nd, the columns are rebuilt rather than kept
     def rule(g):
-        g = g.reshape(shape)
         g_pre_z = (g * n - g * hd) * z * (1.0 - z)
         g_pre_n = g * z * (1.0 - n * n)
         dwc, dbc, dxrh = gate_grads(wc, _im2col(xrh, idx), g_pre_n)
@@ -359,8 +349,8 @@ def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
         dxh = dxh_r + dxh_u
         for t, grad in ((wu, dwu), (bu, dbu), (wr, dwr), (br, dbr), (wc, dwc), (bc, dbc)):
             _accum(t, grad)
-        _accum(x, (dxrh[:d] + dxh[:d]).reshape(x.shape))
-        _accum(h, ((g_rh * r + g * keep) + dxh[d:]).reshape(h.shape))
+        _accum(x, dxrh[:d] + dxh[:d])
+        _accum(h, (g_rh * r + g * keep) + dxh[d:])
 
     return _node(out, (x, h, wu, bu, wr, br, wc, bc), "gru_cell", rule)
 
@@ -412,8 +402,9 @@ def sigmoid(x):
 OP_REGISTRY["l2_normalize"] = "division by the L2 norm along one axis"
 
 
-def l2_normalize(x, axis, eps=1e-12):
+def l2_normalize(x, axis):
     x = _as_tensor(x)
+    eps = 1e-12  # keeps an all-zero slice's norm above 0
     norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True) + eps)
     y = x.data / norm
 
@@ -581,8 +572,9 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-def adam_step(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, lr):
     """One Adam update with bias correction. Parameters without a gradient are left untouched."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
     for p in params:
         g = p.grad
         if g is None:
@@ -601,13 +593,14 @@ def adam_step(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
 # gradient checking
 
 
-def grad_check(fn, inputs, step=1e-5, component_indices=None):
+def grad_check(fn, inputs, component_indices=None):
     """Compare analytic gradients of a scalar-valued composition to central differences.
 
     fn maps the list of input tensors to a scalar Tensor. Relative error uses
     max(1, |analytic|, |numeric|) as denominator. component_indices optionally
     restricts which flat components of each input are probed (per-input list).
     """
+    step = 1e-5  # central-difference half-width
     for t in inputs:
         t.requires_grad = True
     loss = fn(inputs)

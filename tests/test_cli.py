@@ -399,6 +399,39 @@ class TestClassLabels:
         assert code == 0
 
 
+class TestSplitSizes:
+    @pytest.mark.parametrize("split, keep, defect", [
+        ("train", 1, "split 'train' has 1 clip(s), training needs at least 2 "
+                     "to form negative pairs"),
+        ("val", 1, "split 'val' has 1 clip, validation needs 0 or at least 2 "
+                   "to form negative pairs"),
+    ], ids=["one-train-clip", "one-val-clip"])
+    def test_too_small_split_is_a_data_error_before_training(
+            self, dataset, tmp_path, capsys, monkeypatch, split, keep, defect):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"][split] = manifest["splits"][split][:keep]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr("avsol.cli.train", lambda *a, **k: pytest.fail("trained"))
+        code, stdout, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                                "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"error: {copy / 'manifest.json'}: {defect}" in err
+        assert stdout == ""
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_validation_split_trains(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"]["val"] = []
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code, _, _ = run(capsys, "train", "--dataset", str(copy), "--fusion", "static",
+                         "--epochs", "1", "--out", str(tmp_path / "run"))
+        assert code == 0
+
+
 class TestManifestRecords:
     @pytest.mark.parametrize("edit,defect", [
         (lambda r: r.pop("labels"), "'labels' must be a list of integers, got None"),
@@ -552,6 +585,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("command, content, defect", [
         ("train", {"grid_size": 6}, "unknown key 'grid_size'"),
         ("train", {"frame_height": 24}, "unknown key 'frame_height'"),
+        ("train", {"visual_kernel": 3}, "unknown key 'visual_kernel'"),
         ("train", {"grid_w": "6"}, "key 'grid_w' has a value of the wrong type, '6'"),
         ("train", {"fusion": True}, "key 'fusion' has a value of the wrong type, True"),
         ("train", [1, 2], "a config must be a JSON object, got list"),
@@ -572,7 +606,7 @@ class TestConfigFiles:
         ("gen", {"seed": -1}, "seed must be >= 0, got -1"),
         ("gen", b"{bad", "cannot read config: Expecting property name"),
         ("gen", b'{"seed": "\xff"}', "cannot read config: 'utf-8' codec can't decode byte 0xff"),
-    ], ids=["unknown-model-key", "removed-model-key", "string-for-int", "bool-for-str",
+    ], ids=["unknown-model-key", "removed-model-key", "removed-kernel-key", "string-for-int", "bool-for-str",
             "not-an-object", "model-field-out-of-range", "unknown-gen-key",
             "string-for-float", "string-in-dict", "frame-too-small", "removed-gen-key",
             "misspelt-split", "negative-count", "unknown-frame-class", "negative-probability",

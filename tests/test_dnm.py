@@ -49,18 +49,15 @@ class TestConfig:
             model.forward(np.zeros(clip_shape), np.zeros((6, clip_shape[0])))
 
     def test_invalid_fields_rejected(self):
-        with pytest.raises(ConfigError, match="odd"):
-            tiny(visual_kernel=2)
         with pytest.raises(ConfigError, match="fusion"):
             tiny(fusion="other")
         with pytest.raises(ConfigError, match="grid_w must be >= 1"):
             tiny(grid_w=0)
 
-    def test_eleven_architecture_fields(self):
+    def test_nine_architecture_fields(self):
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
             "grid_w", "grid_h", "feature_dim", "cls_feature_dim", "num_categories",
-            "visual_channels", "audio_channels", "visual_kernel", "audio_kernel",
-            "fusion", "mode"]
+            "visual_channels", "audio_channels", "fusion", "mode"]
 
     def test_json_round_trip(self):
         import json
@@ -75,9 +72,10 @@ class TestEncoders:
         # zero biases plus odd nonlinearity keep the zero fixed point
         assert np.array_equal(a.data, np.zeros((2, 4)))
 
-    def test_horizontal_flip_equivariance_with_pointwise_kernels(self):
-        config = tiny(visual_kernel=1)
-        model = DnmModel(config, seed=1)
+    def test_horizontal_flip_equivariance_with_mirror_symmetric_kernels(self):
+        model = DnmModel(tiny(), seed=1)
+        for w in (model.v_conv1_w, model.v_conv2_w):  # 3x3 over space
+            w.data = w.data + w.data[..., ::-1]
         rng = np.random.default_rng(1)
         clip, _ = random_inputs(rng)
         v, _ = model.encode_visual(clip)
@@ -85,7 +83,10 @@ class TestEncoders:
         assert np.allclose(v_flip.data, v.data[:, :, :, ::-1], atol=1e-12)
 
     def test_time_shift_equivariance_with_pointwise_kernels(self):
-        model = DnmModel(tiny(audio_kernel=1), seed=2)
+        # the default kernels span mel bins, never time: along time they are
+        # pointwise, so a circular shift of the steps commutes with the encoder
+        model = DnmModel(tiny(), seed=2)
+        assert model.a_conv1_w.shape[3] == model.a_conv2_w.shape[3] == 1
         rng = np.random.default_rng(2)
         _, logmel = random_inputs(rng, frames=4)
         a = model.encode_audio(logmel)
@@ -154,9 +155,13 @@ class TestFusion:
         got = model.dynamic_fusion(T.Tensor(v), T.Tensor(a)).data
 
         # zero initial state: reset has no effect and h1 = update * candidate,
-        # with each gate seeing only the input half of its kernel
+        # with each gate seeing only the input half of its kernel; the audio
+        # GRU's 1x1 kernels act as (D, D) matrices
         def half(w):
             return T.Tensor(w.data[:, :4])
+
+        def half_matrix(w):
+            return T.Tensor(w.data[:, :4, 0, 0])
 
         x = T.Tensor(v[0])
         zc = T.sigmoid(T.conv2d(x, half(model.cgru_update_w), model.cgru_update_b))
@@ -164,8 +169,8 @@ class TestFusion:
         hv = (zc.data * nc.data).reshape(4, 9)
 
         xa = T.Tensor(a[0])
-        za = T.sigmoid(T.matmul(half(model.gru_update_w), xa) + model.gru_update_b)
-        na = T.tanh(T.matmul(half(model.gru_cand_w), xa) + model.gru_cand_b)
+        za = T.sigmoid(T.matmul(half_matrix(model.gru_update_w), xa) + model.gru_update_b)
+        na = T.tanh(T.matmul(half_matrix(model.gru_cand_w), xa) + model.gru_cand_b)
         ha = za.data * na.data
 
         expected = (hv.T @ ha) / (np.linalg.norm(hv, axis=0) * np.linalg.norm(ha))

@@ -37,13 +37,13 @@ class TestForward:
         x = T.Tensor(rng.normal(size=(1, 7, 7)))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = T.conv2d(x, T.Tensor(k))
+        out = T.conv2d(x, T.Tensor(k), np.zeros(1))
         assert np.allclose(out.data, x.data)
 
     def test_conv_zero_kernel_gives_zeros(self):
         rng = np.random.default_rng(3)
         x = T.Tensor(rng.normal(size=(2, 5, 5)))
-        out = T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))))
+        out = T.conv2d(x, T.Tensor(np.zeros((3, 2, 3, 3))), np.zeros(3))
         assert np.all(out.data == 0)
 
     def test_conv_superposition(self):
@@ -51,13 +51,14 @@ class TestForward:
         rng = np.random.default_rng(4)
         x1, x2 = rng.normal(size=(2, 2, 6, 6))
         k1, k2 = rng.normal(size=(2, 3, 2, 3, 3))
-        both = T.conv2d(T.Tensor(x1 + x2), T.Tensor(k1)).data
-        sep = T.conv2d(T.Tensor(x1), T.Tensor(k1)).data + \
-            T.conv2d(T.Tensor(x2), T.Tensor(k1)).data
+        b = np.zeros(3)
+        both = T.conv2d(T.Tensor(x1 + x2), T.Tensor(k1), b).data
+        sep = T.conv2d(T.Tensor(x1), T.Tensor(k1), b).data + \
+            T.conv2d(T.Tensor(x2), T.Tensor(k1), b).data
         assert np.allclose(both, sep)
-        both_k = T.conv2d(T.Tensor(x1), T.Tensor(k1 + k2)).data
-        sep_k = T.conv2d(T.Tensor(x1), T.Tensor(k1)).data + \
-            T.conv2d(T.Tensor(x1), T.Tensor(k2)).data
+        both_k = T.conv2d(T.Tensor(x1), T.Tensor(k1 + k2), b).data
+        sep_k = T.conv2d(T.Tensor(x1), T.Tensor(k1), b).data + \
+            T.conv2d(T.Tensor(x1), T.Tensor(k2), b).data
         assert np.allclose(both_k, sep_k)
 
     def test_shape_mismatch_raises(self):
@@ -66,7 +67,11 @@ class TestForward:
         with pytest.raises(T.ShapeError):
             T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
         with pytest.raises(T.ShapeError):
-            T.conv2d(T.Tensor(np.zeros((2, 5, 5))), T.Tensor(np.zeros((1, 3, 3, 3))))
+            T.conv2d(T.Tensor(np.zeros((2, 5, 5))), T.Tensor(np.zeros((1, 3, 3, 3))),
+                     np.zeros(1))
+        with pytest.raises(T.ShapeError, match=r"bias shape \(2,\) != \(1,\)"):
+            T.conv2d(T.Tensor(np.zeros((3, 5, 5))), T.Tensor(np.zeros((1, 3, 3, 3))),
+                     np.zeros(2))
 
     @pytest.mark.parametrize("magnitude", [40.0, 1000.0])
     def test_bce_is_finite_at_saturated_logits(self, magnitude):
@@ -186,7 +191,7 @@ class TestConvolutionAgainstReferenceLoop:
         w = rng.uniform(-1, 1, size=(2, 3, 3, 3))
         for size in (5, 7, 5):
             x = rng.uniform(-1, 1, size=(3, size, size))
-            out = T.conv2d(T.Tensor(x), T.Tensor(w))
+            out = T.conv2d(T.Tensor(x), T.Tensor(w), np.zeros(2))
             r = np.zeros((2, size, size))
             assert_close(out.data, reference_conv(x, w, np.zeros(2), r)[0])
 
@@ -194,7 +199,7 @@ class TestConvolutionAgainstReferenceLoop:
         rng = np.random.default_rng(13)
         x = T.Tensor(rng.uniform(-1, 1, size=(2, 4, 5)))
         w = rand(rng, 3, 2, 3, 3)
-        T.backward(T.mean(T.conv2d(x, w)))
+        T.backward(T.mean(T.conv2d(x, w, np.zeros(3))))
         assert x.grad is None
         assert w.grad is not None and w.grad.any()
 
@@ -203,7 +208,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = T.Parameter("p", np.array([1.0, 2.0]))
         p.grad = np.zeros(2)
-        T.adam_step([p])
+        T.adam_step([p], lr=1e-3)
         assert np.array_equal(p.data, [1.0, 2.0])
 
     def test_first_step_magnitude(self):
@@ -240,7 +245,6 @@ class TestCheckpoint:
 def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
     """The GRU step written with separate ops, as the model composed it before
     the fused op existed: the reference gru_cell must match bit for bit."""
-    grid = x.data.ndim == 3
     d = x.shape[0]
     top, bottom = T.Tensor(np.eye(2 * d, d)), T.Tensor(np.eye(2 * d, d, -d))
 
@@ -252,19 +256,15 @@ def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
               + T.matmul(bottom, T.reshape(b, (d, cells))))
         return T.reshape(ab, (2 * d,) + a.shape[1:])
 
-    def gate(w, b, v):
-        return T.conv2d(v, w, b) if grid else T.matmul(w, v) + b
-
     xh = stack(x, h)
-    z = T.sigmoid(gate(wu, bu, xh))
-    r = T.sigmoid(gate(wr, br, xh))
-    n = T.tanh(gate(wc, bc, stack(x, r * h)))
+    z = T.sigmoid(T.conv2d(xh, wu, bu))
+    r = T.sigmoid(T.conv2d(xh, wr, br))
+    n = T.tanh(T.conv2d(stack(x, r * h), wc, bc))
     return (z * -1.0 + 1.0) * h + z * n
 
 
 class TestGruCell:
-    SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "vector": ((4,), (4, 8)),
-              "pointwise": ((4, 1, 1), (4, 8, 1, 1))}
+    SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "pointwise": ((4, 1, 1), (4, 8, 1, 1))}
 
     def inputs(self, seed, state, h_requires_grad=True):
         rng = np.random.default_rng(seed)
@@ -277,7 +277,7 @@ class TestGruCell:
         tensors[1].requires_grad = h_requires_grad
         return tensors, scale
 
-    @pytest.mark.parametrize("state", ["grid", "vector", "pointwise"])
+    @pytest.mark.parametrize("state", ["grid", "pointwise"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bit_identical_to_the_composed_cell(self, state, seed):
         results = []
@@ -293,7 +293,7 @@ class TestGruCell:
             assert want is not None and np.abs(want).max() > 0, k
             assert np.array_equal(got, want), k
 
-    @pytest.mark.parametrize("state", ["grid", "vector", "pointwise"])
+    @pytest.mark.parametrize("state", ["grid", "pointwise"])
     def test_constant_state_gets_no_gradient(self, state):
         results = []
         for cell in (T.gru_cell, composed_gru_cell):
@@ -316,14 +316,18 @@ class TestGruCell:
             T.gru_cell(ts[0], T.Tensor(np.zeros((3, 4, 4))), *ts[2:])
         with pytest.raises(T.ShapeError, match="gru_cell"):
             T.gru_cell(*ts[:4], T.Tensor(np.zeros((3, 6, 1, 3))), *ts[5:])
-        vs, _ = self.inputs(7, "vector")
+        ps, _ = self.inputs(7, "pointwise")
         with pytest.raises(T.ShapeError, match="gru_cell"):
-            T.gru_cell(*vs[:7], T.Tensor(np.zeros(3)))
+            T.gru_cell(*ps[:7], T.Tensor(np.zeros(3)))
+        # a (D,) state with (D, 2D) matrices is not a grid: it must be run as (D, 1, 1)
+        vector = [T.Tensor(t.data[..., 0, 0] if t.data.ndim > 1 else t.data) for t in ps]
+        with pytest.raises(T.ShapeError, match=r"gru_cell: input \(4,\) and state \(4,\)"):
+            T.gru_cell(*vector)
 
     def test_non_finite_pre_activation_raises(self):
-        ts, _ = self.inputs(8, "vector")
-        ts[0] = T.Tensor(np.full(4, 1e308))
-        ts[2] = T.Tensor(np.ones((4, 8)))  # update gate: 4e308 overflows
+        ts, _ = self.inputs(8, "pointwise")
+        ts[0] = T.Tensor(np.full((4, 1, 1), 1e308))
+        ts[2] = T.Tensor(np.ones((4, 8, 1, 1)))  # update gate: 4e308 overflows
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="update gate pre-activation must be finite"):
             T.gru_cell(*ts)
