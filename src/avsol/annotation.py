@@ -150,21 +150,36 @@ def _parse_box(obj, line_no):
     _check_keys(obj, _BOX_KEYS, line_no, "box")
     try:
         return BoundingBox(
-            x_min=float(obj["x_min"]),
-            y_min=float(obj["y_min"]),
-            x_max=float(obj["x_max"]),
-            y_max=float(obj["y_max"]),
-            sounding=_require_bool(obj["sounding"], line_no, "sounding"),
-            out_of_view=_require_bool(obj["out_of_view"], line_no, "out_of_view"),
-            category=str(obj["category"]),
+            x_min=_coordinate(obj["x_min"], line_no, "x_min"),
+            y_min=_coordinate(obj["y_min"], line_no, "y_min"),
+            x_max=_coordinate(obj["x_max"], line_no, "x_max"),
+            y_max=_coordinate(obj["y_max"], line_no, "y_max"),
+            sounding=_typed(obj["sounding"], _BOOLEAN, line_no, "sounding"),
+            out_of_view=_typed(obj["out_of_view"], _BOOLEAN, line_no, "out_of_view"),
+            category=_typed(obj["category"], _STRING, line_no, "category"),
         )
     except KeyError as exc:
         raise AnnotationError(f"line {line_no}: box missing field {exc}") from None
 
 
-def _require_bool(value, line_no, field):
-    if not isinstance(value, bool):
-        raise AnnotationError(f"line {line_no}: field '{field}' must be a boolean")
+def _coordinate(value, line_no, field):
+    try:
+        return float(_typed(value, _NUMBER, line_no, field))
+    except OverflowError:  # an integer literal beyond the float range
+        raise AnnotationError(f"line {line_no}: field '{field}' is beyond the "
+                              f"float range") from None
+
+
+# JSON value types, matched exactly: Python's bool is an int, but true is no number
+_BOOLEAN, _INTEGER, _NUMBER, _STRING = (bool,), (int,), (int, float), (str,)
+_TYPE_NAMES = {_BOOLEAN: "a boolean", _INTEGER: "an integer", _NUMBER: "a number",
+               _STRING: "a string"}
+
+
+def _typed(value, kind, line_no, field):
+    if type(value) not in kind:
+        raise AnnotationError(f"line {line_no}: field '{field}' must be "
+                              f"{_TYPE_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -176,14 +191,20 @@ def _check_keys(obj, allowed, line_no, what):
 
 def parse_annotations(data: bytes) -> DatasetIndex:
     """Parse JSON-lines annotation content and validate every invariant."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AnnotationError(f"not UTF-8 text ({exc})") from None
     frames = []
-    for line_no, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise AnnotationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+            raise AnnotationError(f"line {line_no}: unreadable JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise AnnotationError(f"line {line_no}: record is not an object")
         _check_keys(obj, _FRAME_KEYS, line_no, "record")
@@ -193,10 +214,10 @@ def parse_annotations(data: bytes) -> DatasetIndex:
         if not isinstance(obj["boxes"], list):
             raise AnnotationError(f"line {line_no}: 'boxes' must be a list")
         frames.append(FrameAnnotation(
-            video_id=str(obj["video_id"]),
-            frame_index=int(obj["frame_index"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            video_id=_typed(obj["video_id"], _STRING, line_no, "video_id"),
+            frame_index=_typed(obj["frame_index"], _INTEGER, line_no, "frame_index"),
+            width=_typed(obj["width"], _INTEGER, line_no, "width"),
+            height=_typed(obj["height"], _INTEGER, line_no, "height"),
             boxes=tuple(_parse_box(b, line_no) for b in obj["boxes"]),
         ))
     index = DatasetIndex.from_frames(frames)

@@ -89,7 +89,11 @@ class Reader:
         if not finite.all():
             at = start + dtype.itemsize * int(np.argmin(finite))
             raise FormatError(f"{self.path}: non-finite {what} at byte {at}")
-        return values.reshape(shape).astype(np.float64)
+        try:  # numpy refuses too many axes, or empty shapes whose other axes overflow
+            return values.reshape(shape).astype(np.float64)
+        except ValueError:
+            raise FormatError(f"{self.path}: unsupported {len(shape)}-axis shape "
+                              f"of the {what} at byte {start}") from None
 
     def end(self, after):
         """Require the whole file to be consumed; `after` names its last part."""

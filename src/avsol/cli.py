@@ -18,9 +18,9 @@ import numpy as np
 
 from . import gradcheck as gc
 from . import tensor as T
-from .annotation import parse_annotations
-from .dnm import (FUSIONS, MODES, ConfigError, DnmModel, ModelConfig, predict_heatmaps,
-                  train)
+from .annotation import AnnotationError, parse_annotations
+from .dnm import (FUSIONS, MODES, ConfigError, DnmModel, ModelConfig, label_vector,
+                  predict_heatmaps, train)
 from .metrics import (MetricError, evaluate, minmax_normalize, read_heatmaps,
                       write_heatmaps)
 from .synth import GeneratorConfig, generate_dataset, load_split, read_clip
@@ -88,6 +88,13 @@ def _require(ok: bool, flag: str, value, want: str):
         raise ConfigError(f"{flag} must be {want}, got {value}")
 
 
+def _read_annotations(path):
+    try:
+        return parse_annotations(Path(path).read_bytes())
+    except AnnotationError as exc:
+        raise AnnotationError(f"{path}: {exc}") from None
+
+
 def _snapshot(out_dir: Path, resolved: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
@@ -121,6 +128,12 @@ def cmd_train(args) -> int:
     if len(val_clips) == 1:
         raise ConfigError(f"{manifest}: split 'val' has 1 clip, validation needs 0 or "
                           f"at least 2 to form negative pairs")
+    for split, clips in (("train", train_clips), ("val", val_clips), ("test", test_clips)):
+        for k, clip in enumerate(clips):  # clips keep the manifest's record order
+            try:
+                label_vector(clip.labels, config.num_categories)
+            except ConfigError as exc:
+                raise ConfigError(f"{manifest}: split {split!r} record {k}: {exc}") from None
     out = Path(args.out)
     _snapshot(out, {"model": dataclasses.asdict(config), "dataset": str(args.dataset),
                     "epochs": args.epochs, "seed": args.seed, "lr": args.lr})
@@ -136,8 +149,7 @@ def cmd_train(args) -> int:
                    [(vid, idx, hm) for (vid, idx), hm in entries])
 
     # final metrics are computed from the written file so train and eval agree
-    index = parse_annotations(
-        (Path(args.dataset) / "annotations_test.jsonl").read_bytes())
+    index = _read_annotations(Path(args.dataset) / "annotations_test.jsonl")
     report = evaluate(index, read_heatmaps(out / "heatmaps_test.avhm"),
                       config.grid_w, config.grid_h)
     summary = {"epoch": "final", "test_metrics": json.loads(report.to_json())}
@@ -149,7 +161,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    index = parse_annotations(Path(args.annotations).read_bytes())
+    index = _read_annotations(args.annotations)
     heatmaps = read_heatmaps(args.heatmaps)
     try:
         report = evaluate(index, heatmaps, args.grid_w, args.grid_h)
@@ -193,7 +205,7 @@ def cmd_render(args) -> int:
     video, _ = read_clip(args.clip)
     clip_id = Path(args.clip).stem
     heatmaps = read_heatmaps(args.heatmaps)
-    index = parse_annotations(Path(args.annotations).read_bytes())
+    index = _read_annotations(args.annotations)
     frames = [f for f in index.frames if f.video_id == clip_id]
     if not frames:
         raise MetricError(f"no annotations for clip id {clip_id!r}")

@@ -6,7 +6,7 @@ heads read: per-cell sigmoid + global max pooling for the correspondence (MIL)
 head, and global softmax attention over a classification feature grid for
 the event head. Combined dynamic fusion (cdf) multiplies that grid by the
 cosine of the final states of a ConvGRU over the visual grid and a GRU over
-the audio features, one `tensor.gru_cell` node per modality and time step;
+the audio features, one `tensor.gru` node per modality for the whole clip;
 the audio GRU runs as a ConvGRU with 1x1 kernels over a (D, 1, 1) state.
 Everything is built from the tensor module's registered ops, so the whole
 forward pass is gradient-checkable.
@@ -212,13 +212,9 @@ class DnmModel:
         """Per-cell cosine of the final states of a ConvGRU over the visual
         grid features and a GRU over the audio features."""
         cfg = self.config
-        hv = T.Tensor(np.zeros((cfg.feature_dim, cfg.grid_h, cfg.grid_w)))
-        ha = T.Tensor(np.zeros((cfg.feature_dim, 1, 1)))
-        a = T.reshape(a, a.shape + (1, 1))  # each step's (D,) input as a (D, 1, 1) grid
-        visual_gates, audio_gates = self._gates("cgru"), self._gates("gru")
-        for t in range(v_seq.shape[0]):
-            hv = T.gru_cell(T.take(v_seq, t), hv, *visual_gates)
-            ha = T.gru_cell(T.take(a, t), ha, *audio_gates)
+        hv = T.gru(v_seq, *self._gates("cgru"))
+        # each step's (D,) audio input as a (D, 1, 1) grid
+        ha = T.gru(T.reshape(a, a.shape + (1, 1)), *self._gates("gru"))
         v_final = T.transpose(T.reshape(hv, (cfg.feature_dim, cfg.cells)), (1, 0))
         a_final = T.reshape(ha, (cfg.feature_dim,))
         return T.matmul(T.l2_normalize(v_final, axis=1), T.l2_normalize(a_final, axis=0))

@@ -54,17 +54,12 @@ def op_check_cases(rng):
     case("reshape", (2, 6), [_rand(rng, 3, 4)], lambda ts: T.reshape(ts[0], (2, 6)))
     case("transpose", (2, 3, 4), [_rand(rng, 3, 4, 2)],
          lambda ts: T.transpose(ts[0], (2, 0, 1)))
-    case("take", (3,), [_rand(rng, 4, 3)], lambda ts: T.take(ts[0], 2))
 
-    # two shapes in one case: a 1-channel ConvGRU on a 2x3 grid with 3x3 kernels
-    # and a 2-channel one with 1x1 kernels on a 1x1 grid, as the audio GRU runs
-    def gru_inputs(d, grid, k):
-        return [_rand(rng, d, *grid), _rand(rng, d, *grid)] + [
-            t for _ in range(3) for t in (_rand(rng, d, 2 * d, k, k), _rand(rng, d))]
-
-    s_grid, s_point = _scalarizer(rng, (1, 2, 3)), _scalarizer(rng, (2, 1, 1))
-    cases["gru_cell"] = (lambda ts: s_grid(T.gru_cell(*ts[:8])) + s_point(T.gru_cell(*ts[8:])),
-                         gru_inputs(1, (2, 3), 3) + gru_inputs(2, (1, 1), 1))
+    # a 1-channel ConvGRU over two steps of a 2x3 grid with 3x3 kernels
+    case("gru", (1, 2, 3),
+         [_rand(rng, 2, 1, 2, 3)] + [t for _ in range(3)
+                                     for t in (_rand(rng, 1, 2, 3, 3), _rand(rng, 1))],
+         lambda ts: T.gru(*ts))
     return cases
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annotation import (BoundingBox, DatasetIndex, FrameAnnotation, FrameClass,
-                         parse_annotations, serialize_annotations)
+from .annotation import (AnnotationError, BoundingBox, DatasetIndex, FrameAnnotation,
+                         FrameClass, parse_annotations, serialize_annotations)
 from .binfile import Reader, Writer
 
 
@@ -383,7 +383,11 @@ def load_split(dataset_dir, split) -> list:
         raise GeneratorError(f"{path}: split {split!r} not present in manifest")
     if not isinstance(splits[split], list):
         raise GeneratorError(f"{path}: split {split!r} must be a list of clip records")
-    index = parse_annotations((root / f"annotations_{split}.jsonl").read_bytes())
+    annotations = root / f"annotations_{split}.jsonl"
+    try:
+        index = parse_annotations(annotations.read_bytes())
+    except AnnotationError as exc:
+        raise AnnotationError(f"{annotations}: {exc}") from None
     by_video = {}
     for frame in index.frames:
         by_video.setdefault(frame.video_id, []).append(frame)

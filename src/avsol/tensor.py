@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly the op set the localization model needs: elementwise
-arithmetic, matmul, 'same' 2D/3D convolution, one fused GRU step
-(`gru_cell`, convolution gates over a (D, h, w) state),
+arithmetic, matmul, 'same' 2D/3D convolution, a fused GRU recurrence
+(`gru`, convolution gates over a (D, h, w) state, one node per sequence),
 block average pooling, sigmoid/tanh/softmax, L2 normalization, global
 max, binary cross-entropy and a few layout ops.  No broadcasting beyond
 scalar-with-tensor; any other shape mismatch raises ShapeError, which
@@ -277,82 +277,95 @@ def conv3d(x, kernel, bias):
     return _conv_nd("conv3d", x, kernel, bias, 3)
 
 
-OP_REGISTRY["gru_cell"] = "one GRU step with 'same' convolution gates over a (D, h, w) state"
+OP_REGISTRY["gru"] = ("GRU from a zero state over a (T, D, h, w) sequence with 'same' "
+                      "convolution gates; the final (D, h, w) state")
 
 
-def gru_cell(x, h, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
-    """One GRU step as a single graph node.
+def gru(xs, w_update, b_update, w_reset, b_reset, w_cand, b_cand):
+    """A whole GRU recurrence as a single graph node.
 
+    Step t reads x = xs[t] and the state h, zero before the first step:
     z = sigmoid(W_u [x; h] + b_u), r = sigmoid(W_r [x; h] + b_r),
     n = tanh(W_c [x; r h] + b_c), and the new state is (1 - z) h + z n,
     where each W is a (D, 2D, k, k) kernel of a 'same' convolution over the
-    (D, h, w) state (a ConvGRU). A plain GRU over a (D,) vector is the case
-    of a (D, 1, 1) state and 1x1 kernels.
+    (D, h, w) state (a ConvGRU). A plain GRU over (D,) vectors is the case
+    of a (D, 1, 1) state and 1x1 kernels. Returns the last step's state.
 
-    Forward and backward evaluate the numpy expressions of the composition
-    of stacking [x; h], conv2d, add, sigmoid, tanh and mul in the same
-    order, gradients accumulated as that graph accumulates them, so the
-    results are bit-identical to it.
+    Forward and backward evaluate the numpy expressions of the per-step
+    composition of stacking [x; h], conv2d, add, sigmoid, tanh and mul in
+    the same order, and sum each parameter's gradient from the last step to
+    the first as that graph accumulates it, so the results are bit-identical
+    to it.
     """
-    x, h = _as_tensor(x), _as_tensor(h)
-    wu, bu, wr, br, wc, bc = (_as_tensor(t) for t in
-                              (w_update, b_update, w_reset, b_reset, w_cand, b_cand))
-    if x.shape != h.shape or x.data.ndim != 3:
-        raise ShapeError(f"gru_cell: input {x.shape} and state {h.shape} must share "
-                         f"a (D, h, w) shape")
-    d = x.shape[0]
+    xs = _as_tensor(xs)
+    params = tuple(_as_tensor(t) for t in
+                   (w_update, b_update, w_reset, b_reset, w_cand, b_cand))
+    wu, bu, wr, br, wc, bc = params
+    if xs.data.ndim != 4 or xs.shape[0] < 1:
+        raise ShapeError(f"gru: input sequence {xs.shape} must be (T, D, h, w) with T >= 1")
+    d, shape = xs.shape[1], xs.shape[1:]
     wshape = (d, 2 * d) + wu.shape[2:]
     for w, b in ((wu, bu), (wr, br), (wc, bc)):
         if w.shape != wshape or b.shape != (d,):
-            raise ShapeError(f"gru_cell: gate weight {w.shape} and bias {b.shape} "
+            raise ShapeError(f"gru: gate weight {w.shape} and bias {b.shape} "
                              f"!= {wshape} and ({d},)")
     if len(wshape) != 4 or any(k % 2 == 0 for k in wshape[2:]):
-        raise ShapeError(f"gru_cell: kernels must be 2D with odd sizes, got {wshape}")
+        raise ShapeError(f"gru: kernels must be 2D with odd sizes, got {wshape}")
 
-    idx = _gather_index(x.shape[1:], wshape[2:])
+    idx = _gather_index(shape[1:], wshape[2:])
     cells = idx.shape[1]
 
     def gate(w, b, cols):
-        return (w.data.reshape(d, -1) @ cols).reshape(x.shape) + b.data.reshape(d, 1, 1)
+        return (w.data.reshape(d, -1) @ cols).reshape(shape) + b.data.reshape(d, 1, 1)
 
     def gate_grads(w, cols, g):  # -> (dW, db, d[x; h])
         g2 = g.reshape(d, cells)
         return ((g2 @ cols.T).reshape(w.shape), g2.sum(axis=1),
-                _col2im(w.data.reshape(d, -1).T @ g2, idx, xh.shape))
+                _col2im(w.data.reshape(d, -1).T @ g2, idx, (2 * d,) + shape[1:]))
 
-    xd, hd = x.data, h.data
-    xh = np.concatenate([xd, hd], axis=0)
-    xh_cols = _im2col(xh, idx)  # shared by the update and reset gates
-    pre_z = gate(wu, bu, xh_cols)
-    pre_r = gate(wr, br, xh_cols)
-    z = 1.0 / (1.0 + np.exp(-pre_z))
-    r = 1.0 / (1.0 + np.exp(-pre_r))
-    xrh = np.concatenate([xd, r * hd], axis=0)
-    pre_n = gate(wc, bc, _im2col(xrh, idx))
-    for name, pre in (("update", pre_z), ("reset", pre_r), ("candidate", pre_n)):
-        if not np.isfinite(pre).all():
-            raise ValueError(f"gru_cell: {name} gate pre-activation must be finite")
-    n = np.tanh(pre_n)
-    keep = 1.0 - z
-    out = keep * hd + z * n
+    steps = []  # per step: (h, [x; h], [x; r h], z, r, n, 1 - z)
+    hd = np.zeros(shape)
+    for xd in xs.data:
+        xh = np.concatenate([xd, hd], axis=0)
+        xh_cols = _im2col(xh, idx)  # shared by the update and reset gates
+        pre_z = gate(wu, bu, xh_cols)
+        pre_r = gate(wr, br, xh_cols)
+        z = 1.0 / (1.0 + np.exp(-pre_z))
+        r = 1.0 / (1.0 + np.exp(-pre_r))
+        xrh = np.concatenate([xd, r * hd], axis=0)
+        pre_n = gate(wc, bc, _im2col(xrh, idx))
+        for name, pre in (("update", pre_z), ("reset", pre_r), ("candidate", pre_n)):
+            if not np.isfinite(pre).all():
+                raise ValueError(f"gru: {name} gate pre-activation must be finite")
+        n = np.tanh(pre_n)
+        keep = 1.0 - z
+        steps.append((hd, xh, xrh, z, r, n, keep))
+        hd = keep * hd + z * n
 
     # as in _conv_nd, the columns are rebuilt rather than kept
     def rule(g):
-        g_pre_z = (g * n - g * hd) * z * (1.0 - z)
-        g_pre_n = g * z * (1.0 - n * n)
-        dwc, dbc, dxrh = gate_grads(wc, _im2col(xrh, idx), g_pre_n)
-        g_rh = dxrh[d:]
-        g_pre_r = g_rh * hd * r * (1.0 - r)
-        xh_cols = _im2col(xh, idx)
-        dwr, dbr, dxh_r = gate_grads(wr, xh_cols, g_pre_r)
-        dwu, dbu, dxh_u = gate_grads(wu, xh_cols, g_pre_z)
-        dxh = dxh_r + dxh_u
-        for t, grad in ((wu, dwu), (bu, dbu), (wr, dwr), (br, dbr), (wc, dwc), (bc, dbc)):
-            _accum(t, grad)
-        _accum(x, dxrh[:d] + dxh[:d])
-        _accum(h, (g_rh * r + g * keep) + dxh[d:])
+        dxs = np.empty_like(xs.data)
+        total = None  # parameter gradients, in the order of params
+        for t in reversed(range(len(steps))):
+            hd, xh, xrh, z, r, n, keep = steps[t]
+            g_pre_z = (g * n - g * hd) * z * (1.0 - z)
+            g_pre_n = g * z * (1.0 - n * n)
+            dwc, dbc, dxrh = gate_grads(wc, _im2col(xrh, idx), g_pre_n)
+            g_rh = dxrh[d:]
+            g_pre_r = g_rh * hd * r * (1.0 - r)
+            xh_cols = _im2col(xh, idx)
+            dwr, dbr, dxh_r = gate_grads(wr, xh_cols, g_pre_r)
+            dwu, dbu, dxh_u = gate_grads(wu, xh_cols, g_pre_z)
+            dxh = dxh_r + dxh_u
+            step = (dwu, dbu, dwr, dbr, dwc, dbc)
+            total = step if total is None else tuple(map(np.add, total, step))
+            dxs[t] = dxrh[:d] + dxh[:d]
+            g = (g_rh * r + g * keep) + dxh[d:]
+        for p, grad in zip(params, total):
+            _accum(p, grad)
+        _accum(xs, dxs)
 
-    return _node(out, (x, h, wu, bu, wr, br, wc, bc), "gru_cell", rule)
+    return _node(hd, (xs,) + params, "gru", rule)
 
 
 OP_REGISTRY["avg_pool"] = "non-overlapping block average pooling, one factor per axis"
@@ -535,23 +548,6 @@ def transpose(x, axes):
         _accum(x, g.transpose(inv))
 
     return _node(x.data.transpose(axes), (x,), "transpose", rule)
-
-
-OP_REGISTRY["take"] = "select one index along the leading axis"
-
-
-def take(x, index):
-    x = _as_tensor(x)
-    index = int(index)
-    if not 0 <= index < x.shape[0]:
-        raise ShapeError(f"take: index {index} out of range for axis of length {x.shape[0]}")
-
-    def rule(g):
-        dx = np.zeros_like(x.data)
-        dx[index] = g
-        _accum(x, dx)
-
-    return _node(x.data[index], (x,), "take", rule)
 
 
 # ---------------------------------------------------------------------------

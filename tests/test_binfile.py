@@ -47,6 +47,16 @@ class TestContainer:
         with pytest.raises(FormatError, match=f"truncated at byte 14: {4 * 65535 ** 4} bytes"):
             reader.array("<f4", shape, "value")
 
+    @pytest.mark.parametrize("shape", [(0,) * 70, (0, 2 ** 40, 2 ** 40)])
+    def test_empty_shape_numpy_cannot_hold(self, tmp_path, shape):
+        # no values to read, but too many axes or an overflowing size
+        path = tmp_path / "f.bin"
+        self.write(path)
+        reader = Reader(path, b"TEST", 3, "test file")
+        with pytest.raises(FormatError, match=f"{path}: unsupported {len(shape)}-axis "
+                                              "shape of the value at byte 6"):
+            reader.array("<f8", shape, "value")
+
     def test_value_that_does_not_fit_its_field(self, tmp_path):
         path = tmp_path / "f.bin"
         with pytest.raises(FormatError, match=f"{path}: cannot store \\(70000,\\) as 'H'"):

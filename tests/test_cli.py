@@ -180,6 +180,62 @@ def eval_exit_code(annotations, maps):
     return code, err.getvalue()
 
 
+def edit_record(change):
+    """An edit of a one-line annotation file that changes its parsed record."""
+    def edit(data):
+        record = json.loads(data)
+        change(record)
+        return json.dumps(record).encode()
+    return edit
+
+
+class TestAnnotationFileDefects:
+    @pytest.mark.parametrize("edit, defect", [
+        (edit_record(lambda r: r.update(frame_index=[0])),
+         "line 1: field 'frame_index' must be an integer, got [0]"),
+        (edit_record(lambda r: r.update(frame_index=0.7)),
+         "line 1: field 'frame_index' must be an integer, got 0.7"),
+        (edit_record(lambda r: r.update(width=None)),
+         "line 1: field 'width' must be an integer, got None"),
+        (edit_record(lambda r: r.update(video_id=7)),
+         "line 1: field 'video_id' must be a string, got 7"),
+        (edit_record(lambda r: r["boxes"][0].update(x_min=None)),
+         "line 1: field 'x_min' must be a number, got None"),
+        (edit_record(lambda r: r["boxes"][0].update(x_min=True)),
+         "line 1: field 'x_min' must be a number, got True"),
+        (edit_record(lambda r: r["boxes"][0].update(category=None)),
+         "line 1: field 'category' must be a string, got None"),
+        (lambda data: data.replace(b'"x_min": 0', b'"x_min": 1' + b"0" * 400),
+         "line 1: field 'x_min' is beyond the float range"),
+        (lambda data: data.replace(b'"frame_index": 0', b'"frame_index": 1' + b"0" * 5000),
+         "line 1: unreadable JSON ("),
+        (lambda data: b"[" * 100000, "line 1: unreadable JSON ("),
+        (lambda data: b"\xff" + data, "not UTF-8 text"),
+        (lambda data: b"{" + data, "line 1: malformed JSON"),
+    ], ids=["frame-index-list", "frame-index-fraction", "width-null", "video-id-number",
+            "x-min-null", "x-min-true", "category-null", "x-min-overflow",
+            "frame-index-5000-digits", "nested-too-deep", "not-utf8", "malformed-json"])
+    def test_defect_is_a_data_error_naming_the_file(self, tmp_path, edit, defect):
+        annotations, maps = small_eval_files(tmp_path)
+        annotations.write_bytes(edit(annotations.read_bytes()))
+        code, err = eval_exit_code(annotations, maps)
+        assert code == 2
+        assert f"error: {annotations}: {defect}" in err
+
+    def test_train_names_the_split_file(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        path = copy / "annotations_val.jsonl"
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(edit_record(lambda r: r.update(frame_index=0.5))(first) + b"\n" + rest)
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert (f"error: {path}: line 1: field 'frame_index' must be an integer, "
+                f"got 0.5") in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestHeatmapFileDefects:
     def test_intact_small_file_evaluates(self, tmp_path):
         assert eval_exit_code(*small_eval_files(tmp_path))[0] == 0
@@ -383,6 +439,23 @@ class TestClassLabels:
                            "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"class label {label} outside the model's [0, 4)" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_every_split_is_checked_before_anything_is_written(
+            self, dataset, tmp_path, capsys, monkeypatch, split):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"][split][1]["labels"] = [9]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr("avsol.cli.train", lambda *a, **k: pytest.fail("trained"))
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "1",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert (f"error: {copy / 'manifest.json'}: split '{split}' record 1: "
+                f"class label 9 outside the model's [0, 4)") in err
+        assert not (tmp_path / "run").exists()
 
     def test_forty_categories_train(self, tmp_path, capsys):
         config = tmp_path / "forty.json"
@@ -490,11 +563,12 @@ class TestGradcheck:
         assert code == 3
         assert "matmul" in out and "FAIL" in out
 
-    def test_corrupted_gru_cell_is_detected_and_named(self, capsys, monkeypatch):
-        corrupt(monkeypatch, "gru_cell")
+    def test_corrupted_gru_is_detected_and_named(self, capsys, monkeypatch):
+        corrupt(monkeypatch, "gru")
         code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--draws", "1")
         assert code == 3
-        assert "gradient check failed for: gru_cell" in out
+        # the model runs both recurrences through the op, so its check fails too
+        assert "gradient check failed for: gru, end_to_end\n" in out
 
     @pytest.mark.parametrize("draws", [0, -3])
     def test_fewer_than_one_draw_is_a_data_error(self, capsys, draws):

@@ -212,6 +212,38 @@ class TestFusion:
         assert np.array_equal(out.similarity.data, expected)
 
 
+def built_ops(monkeypatch, config, frames):
+    """The op of every node that one positive sample's forward and loss build."""
+    ops = []
+    raw = T._node
+
+    def counting(data, parents, op, rule):
+        ops.append(op)
+        return raw(data, parents, op, rule)
+
+    model = DnmModel(config, seed=11)
+    clip, logmel = random_inputs(np.random.default_rng(11), frames=frames)
+    label = np.zeros(config.num_categories)
+    label[0] = 1.0
+    with monkeypatch.context() as patch:
+        patch.setattr(T, "_node", counting)
+        multitask_loss(model.forward(clip, logmel), 1, label)
+    return ops
+
+
+class TestGraph:
+    def test_node_count_does_not_grow_with_the_clip(self, monkeypatch):
+        short, long = (built_ops(monkeypatch, tiny(), frames) for frames in (2, 8))
+        assert len(short) == len(long)
+        assert short.count("gru") == long.count("gru") == 2
+
+    def test_the_model_builds_every_registered_op(self, monkeypatch):
+        # an op no model path builds any more is dead code: delete it
+        built = set(built_ops(monkeypatch, tiny(), 2))
+        built |= set(built_ops(monkeypatch, tiny(fusion="static"), 2))
+        assert built == set(T.OP_REGISTRY)
+
+
 class TestHeads:
     def test_zero_similarity_gives_half_everywhere(self):
         m_loc, z = DnmModel.local_normalize(T.Tensor(np.zeros(9)))

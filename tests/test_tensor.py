@@ -263,71 +263,90 @@ def composed_gru_cell(x, h, wu, bu, wr, br, wc, bc):
     return (z * -1.0 + 1.0) * h + z * n
 
 
+def composed_gru(xs, *gates):
+    """The recurrence as a loop of composed cells from a zero state, which
+    `T.gru` must match bit for bit. Step t is sliced with a one-hot matmul,
+    which is exact."""
+    steps, shape = xs.shape[0], xs.shape[1:]
+    flat = T.reshape(xs, (steps, xs.size // steps))
+    h = T.Tensor(np.zeros(shape))
+    for t in range(steps):
+        h = composed_gru_cell(T.reshape(T.matmul(T.Tensor(np.eye(steps)[t]), flat), shape),
+                              h, *gates)
+    return h
+
+
 class TestGruCell:
+    """`tensor.gru`: the GRU cell run over a whole sequence as one node."""
+
     SHAPES = {"grid": ((3, 4, 5), (3, 6, 3, 3)), "pointwise": ((4, 1, 1), (4, 8, 1, 1))}
 
-    def inputs(self, seed, state, h_requires_grad=True):
+    def inputs(self, seed, state, steps, xs_requires_grad=True):
         rng = np.random.default_rng(seed)
         shape, wshape = self.SHAPES[state]
-        arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+        arrays = [rng.normal(size=(steps,) + shape)]
         for _ in range(3):
             arrays += [rng.normal(scale=0.5, size=wshape), rng.normal(size=shape[0])]
         scale = rng.uniform(0.5, 1.5, size=shape)
         tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
-        tensors[1].requires_grad = h_requires_grad
+        tensors[0].requires_grad = xs_requires_grad
         return tensors, scale
 
     @pytest.mark.parametrize("state", ["grid", "pointwise"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_bit_identical_to_the_composed_cell(self, state, seed):
-        results = []
-        for cell in (T.gru_cell, composed_gru_cell):
-            ts, scale = self.inputs(seed, state)
-            out = cell(*ts)
-            T.backward(T.mean(out * T.Tensor(scale)))
-            results.append((out.data, [t.grad for t in ts]))
-        (fused, fused_grads), (ref, ref_grads) = results
-        assert np.abs(fused).max() > 0.1
-        assert np.array_equal(fused, ref)
-        for k, (got, want) in enumerate(zip(fused_grads, ref_grads)):
-            assert want is not None and np.abs(want).max() > 0, k
-            assert np.array_equal(got, want), k
+        for steps in (1, 3):
+            results = []
+            for run in (T.gru, composed_gru):
+                ts, scale = self.inputs(seed, state, steps)
+                out = run(*ts)
+                T.backward(T.mean(out * T.Tensor(scale)))
+                results.append((out.data, [t.grad for t in ts]))
+            (fused, fused_grads), (ref, ref_grads) = results
+            assert np.abs(fused).max() > 0.1
+            assert np.array_equal(fused, ref), steps
+            for k, (got, want) in enumerate(zip(fused_grads, ref_grads)):
+                # the reset gate scales the state, which is zero in a first step
+                assert np.abs(want).max() > 0 or (steps, k) in ((1, 3), (1, 4)), (steps, k)
+                assert np.array_equal(got, want), (steps, k)
 
     @pytest.mark.parametrize("state", ["grid", "pointwise"])
-    def test_constant_state_gets_no_gradient(self, state):
+    def test_constant_input_gets_no_gradient(self, state):
         results = []
-        for cell in (T.gru_cell, composed_gru_cell):
-            ts, scale = self.inputs(5, state, h_requires_grad=False)
-            T.backward(T.mean(cell(*ts) * T.Tensor(scale)))
+        for run in (T.gru, composed_gru):
+            ts, scale = self.inputs(5, state, 3, xs_requires_grad=False)
+            T.backward(T.mean(run(*ts) * T.Tensor(scale)))
             results.append([t.grad for t in ts])
         fused, ref = results
-        assert fused[1] is None and ref[1] is None
-        for got, want in zip(fused[:1] + fused[2:], ref[:1] + ref[2:]):
+        assert fused[0] is None and ref[0] is None
+        for got, want in zip(fused[1:], ref[1:]):
             assert np.array_equal(got, want)
 
-    def test_one_node_per_step(self):
-        ts, _ = self.inputs(6, "grid")
-        out = T.gru_cell(*ts)
-        assert out._op == "gru_cell" and out._parents == tuple(ts)
+    def test_one_node_per_recurrence(self):
+        ts, _ = self.inputs(6, "grid", 3)
+        out = T.gru(*ts)
+        assert out._op == "gru" and out._parents == tuple(ts)
+        assert out.shape == (3, 4, 5)
 
     def test_mismatched_shapes_raise(self):
-        ts, _ = self.inputs(7, "grid")
-        with pytest.raises(T.ShapeError, match="gru_cell"):
-            T.gru_cell(ts[0], T.Tensor(np.zeros((3, 4, 4))), *ts[2:])
-        with pytest.raises(T.ShapeError, match="gru_cell"):
-            T.gru_cell(*ts[:4], T.Tensor(np.zeros((3, 6, 1, 3))), *ts[5:])
-        ps, _ = self.inputs(7, "pointwise")
-        with pytest.raises(T.ShapeError, match="gru_cell"):
-            T.gru_cell(*ps[:7], T.Tensor(np.zeros(3)))
-        # a (D,) state with (D, 2D) matrices is not a grid: it must be run as (D, 1, 1)
-        vector = [T.Tensor(t.data[..., 0, 0] if t.data.ndim > 1 else t.data) for t in ps]
-        with pytest.raises(T.ShapeError, match=r"gru_cell: input \(4,\) and state \(4,\)"):
-            T.gru_cell(*vector)
+        ts, _ = self.inputs(7, "grid", 3)
+        with pytest.raises(T.ShapeError, match=r"gru: input sequence \(3, 4, 5\)"):
+            T.gru(ts[0].data[0], *ts[1:])
+        with pytest.raises(T.ShapeError, match=r"gru: input sequence \(0, 3, 4, 5\)"):
+            T.gru(ts[0].data[:0], *ts[1:])
+        with pytest.raises(T.ShapeError, match="gru: gate weight"):
+            T.gru(*ts[:3], T.Tensor(np.zeros((3, 6, 1, 3))), *ts[4:])
+        with pytest.raises(T.ShapeError, match="gru: kernels must be 2D with odd sizes"):
+            T.gru(ts[0], *[T.Tensor(np.zeros((3, 6, 2, 2))) if t.data.ndim == 4 else t
+                           for t in ts[1:]])
+        ps, _ = self.inputs(7, "pointwise", 3)
+        with pytest.raises(T.ShapeError, match="gru: gate weight"):
+            T.gru(*ps[:6], T.Tensor(np.zeros(3)))
 
     def test_non_finite_pre_activation_raises(self):
-        ts, _ = self.inputs(8, "pointwise")
-        ts[0] = T.Tensor(np.full((4, 1, 1), 1e308))
-        ts[2] = T.Tensor(np.ones((4, 8, 1, 1)))  # update gate: 4e308 overflows
+        ts, _ = self.inputs(8, "pointwise", 2)
+        ts[0] = T.Tensor(np.full((2, 4, 1, 1), 1e308))
+        ts[1] = T.Tensor(np.ones((4, 8, 1, 1)))  # update gate: 4e308 overflows
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="update gate pre-activation must be finite"):
-            T.gru_cell(*ts)
+                pytest.raises(ValueError, match="gru: update gate pre-activation must be finite"):
+            T.gru(*ts)
