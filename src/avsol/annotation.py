@@ -87,8 +87,8 @@ def classify_frame(frame: FrameAnnotation) -> FrameClass:
     return FrameClass.NON_AVE_NOISE
 
 
-def rasterize_boxes(frame: FrameAnnotation, grid_w: int, grid_h: int) -> np.ndarray:
-    """Binary foreground mask of shape (grid_h, grid_w).
+def rasterize_frames(frames, grid_w: int, grid_h: int) -> np.ndarray:
+    """Boolean foreground masks of shape (len(frames), grid_h, grid_w).
 
     A cell is foreground iff its center, mapped to frame pixel coordinates,
     falls inside an in-view sounding box (half-open containment:
@@ -96,14 +96,25 @@ def rasterize_boxes(frame: FrameAnnotation, grid_w: int, grid_h: int) -> np.ndar
     """
     if grid_w < 1 or grid_h < 1:
         raise AnnotationError(f"grid dimensions must be >= 1, got {grid_w}x{grid_h}")
-    cx = (np.arange(grid_w) + 0.5) * frame.width / grid_w
-    cy = (np.arange(grid_h) + 0.5) * frame.height / grid_h
-    mask = np.zeros((grid_h, grid_w), dtype=np.uint8)
-    for box in frame.in_view_sounding_boxes():
-        in_x = (cx >= box.x_min) & (cx < box.x_max)
-        in_y = (cy >= box.y_min) & (cy < box.y_max)
-        mask |= np.outer(in_y, in_x).astype(np.uint8)
-    return mask
+    rows = [(k, frame.width, frame.height, b.x_min, b.x_max, b.y_min, b.y_max)
+            for k, frame in enumerate(frames) for b in frame.in_view_sounding_boxes()]
+    masks = np.zeros((len(frames), grid_h, grid_w), dtype=bool)
+    if rows:
+        columns = np.array(rows).T
+        width, height, x_min, x_max, y_min, y_max = columns[1:, :, None]
+        cx = (np.arange(grid_w) + 0.5) * width / grid_w
+        cy = (np.arange(grid_h) + 0.5) * height / grid_h
+        in_x = (cx >= x_min) & (cx < x_max)
+        in_y = (cy >= y_min) & (cy < y_max)
+        # boxes come grouped by frame, so each group ORs into its frame's mask
+        boxed, first = np.unique(columns[0].astype(np.intp), return_index=True)
+        masks[boxed] = np.logical_or.reduceat(in_y[:, :, None] & in_x[:, None, :], first)
+    return masks
+
+
+def rasterize_boxes(frame: FrameAnnotation, grid_w: int, grid_h: int) -> np.ndarray:
+    """Binary uint8 foreground mask of shape (grid_h, grid_w); see rasterize_frames."""
+    return rasterize_frames([frame], grid_w, grid_h)[0].view(np.uint8)
 
 
 def validate(index: DatasetIndex) -> list[str]:

@@ -21,8 +21,8 @@ from . import tensor as T
 from .annotation import AnnotationError, parse_annotations
 from .dnm import (FUSIONS, MODES, ConfigError, DnmModel, ModelConfig, label_vector,
                   predict_heatmaps, train)
-from .metrics import (MetricError, evaluate, minmax_normalize, read_heatmaps,
-                      write_heatmaps)
+from .metrics import (EmptyMaskError, MetricError, evaluate, minmax_normalize,
+                      read_heatmaps, write_heatmaps)
 from .synth import GeneratorConfig, generate_dataset, load_split, read_clip
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 1, 2, 3
@@ -119,7 +119,9 @@ def cmd_train(args) -> int:
                           {"mode": args.mode, "fusion": args.fusion})
     train_clips = load_split(args.dataset, "train")
     val_clips = load_split(args.dataset, "val")
-    test_clips = load_split(args.dataset, "test")
+    # the final report covers every frame of this file, also of clips the manifest lacks
+    test_index = _read_annotations(Path(args.dataset) / "annotations_test.jsonl")
+    test_clips = load_split(args.dataset, "test", test_index)
     # negative pairs are drawn within a split, so a lone clip has none
     manifest = Path(args.dataset) / "manifest.json"
     if len(train_clips) < 2:
@@ -149,8 +151,7 @@ def cmd_train(args) -> int:
                    [(vid, idx, hm) for (vid, idx), hm in entries])
 
     # final metrics are computed from the written file so train and eval agree
-    index = _read_annotations(Path(args.dataset) / "annotations_test.jsonl")
-    report = evaluate(index, read_heatmaps(out / "heatmaps_test.avhm"),
+    report = evaluate(test_index, read_heatmaps(out / "heatmaps_test.avhm"),
                       config.grid_w, config.grid_h)
     summary = {"epoch": "final", "test_metrics": json.loads(report.to_json())}
     with open(out / "train_log.jsonl", "w") as fh:
@@ -165,6 +166,8 @@ def cmd_eval(args) -> int:
     heatmaps = read_heatmaps(args.heatmaps)
     try:
         report = evaluate(index, heatmaps, args.grid_w, args.grid_h)
+    except EmptyMaskError as exc:  # the annotations' boxes miss the grid's cell centres
+        raise MetricError(f"{args.annotations}: {exc}") from None
     except MetricError as exc:  # a well-formed file that does not fit the annotations
         raise MetricError(f"{args.heatmaps}: {exc}") from None
     print(report.to_table(), end="")

@@ -8,13 +8,14 @@ heatmaps must not be per-frame normalized before it.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .annotation import DatasetIndex, FrameAnnotation, FrameClass, classify_frame, rasterize_boxes
+# rasterize_boxes stays a name of this module: the benchmark tracer wraps it here
+from .annotation import (DatasetIndex, FrameAnnotation, FrameClass, classify_frame,  # noqa: F401
+                         rasterize_boxes, rasterize_frames)
 from .binfile import FormatError, Reader, Writer
 
 
@@ -51,11 +52,60 @@ class EvalFrame:
     annotation: FrameAnnotation
     frame_class: FrameClass
 
-    @functools.cached_property
-    def mask(self) -> np.ndarray:
-        """Boolean sounding-box mask on the heatmap's grid, rasterized on first use."""
-        return rasterize_boxes(self.annotation, self.heatmap.width,
-                               self.heatmap.height).astype(bool)
+
+class EmptyMaskError(MetricError):
+    """An AVE frame whose sounding boxes cover no cell centre of the grid."""
+
+
+# AVE frames scored per block: at 24x24 a block's arrays are about 1 MB each
+BLOCK_FRAMES = 256
+
+
+def _auc_rows(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """HmBoxAUC of each row of values (F, cells) against its mask row (F, cells).
+
+    Every mask row must have a foreground cell. See hmbox_auc for the sweep.
+    """
+    order = np.argsort(-values, axis=1)
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    tp_cum = np.cumsum(np.take_along_axis(masks, order, axis=1), axis=1)
+    # last position of each run of equal values = selection size at that threshold
+    run_end = np.empty(values.shape, dtype=bool)
+    np.not_equal(sorted_vals[:, 1:], sorted_vals[:, :-1], out=run_end[:, :-1])
+    run_end[:, -1] = True
+    rows, last = np.nonzero(run_end)
+    tp = tp_cum[run_end]
+    precision = tp / (last + 1)
+    recall = tp / masks.sum(axis=1)[rows]
+    runs = np.bincount(rows, minlength=len(values))
+    first = np.cumsum(runs) - runs
+    steps = np.diff(recall, prepend=0.0)
+    steps[first] = recall[first]  # each row's recall starts from 0
+    terms = precision * steps
+    # rows with the same number of runs are summed as rows of one contiguous
+    # array, which gives each row the pairwise summation of a 1-D np.sum
+    auc = np.empty(len(values))
+    for n in np.unique(runs):
+        same = np.flatnonzero(runs == n)
+        auc[same] = terms[first[same, None] + np.arange(n)].sum(axis=1)
+    return auc
+
+
+def _peak_hits(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row: does any cell at the row's maximum lie in the mask?"""
+    return ((values == values.max(axis=1, keepdims=True)) & masks).any(axis=1)
+
+
+def _in_box_peaks(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Per row: the maximum over the mask's cells; every row needs one."""
+    return np.where(masks, values, -np.inf).max(axis=1)
+
+
+def _frame_rows(frame: EvalFrame):
+    """One frame's heatmap and sounding-box mask, each as a one-row block."""
+    height, width = frame.heatmap.values.shape
+    mask = rasterize_frames([frame.annotation], width, height)
+    return frame.heatmap.values.reshape(1, -1), mask.reshape(1, -1)
 
 
 def _check_mask(heatmap: Heatmap, mask: np.ndarray):
@@ -73,24 +123,18 @@ def hmbox_auc(heatmap: Heatmap, mask: np.ndarray) -> float:
 
     Thresholds run in strictly decreasing order; the recall before the first
     threshold is 0. The highest threshold always selects at least one cell,
-    so no empty-selection term arises (it would contribute 0).
+    so no empty-selection term arises (it would contribute 0). Cells are
+    sorted by value, and the sweep reads the true-positive count only at the
+    last cell of each run of equal values. That count covers every cell at
+    or above the threshold, whatever order the sort left inside the run, so
+    an unstable sort gives the same bits as a stable one.
     """
     mask = _check_mask(heatmap, mask)
-    h = heatmap.values.ravel()
-    m = mask.ravel()
-    fg = int(m.sum())
+    return float(_auc_rows(heatmap.values.reshape(1, -1), mask.reshape(1, -1))[0])
 
-    order = np.argsort(-h, kind="stable")
-    sorted_vals = h[order]
-    tp_cum = np.cumsum(m[order])
-    # last position of each run of equal values = selection size at that threshold
-    last = np.nonzero(np.diff(sorted_vals, append=-np.inf))[0]
-    n_sel = last + 1
-    tp = tp_cum[last]
-    precision = tp / n_sel
-    recall = tp / fg
-    steps = np.diff(recall, prepend=0.0)
-    return float(np.sum(precision * steps))
+
+def _hit_rate(hits: np.ndarray) -> float:
+    return int(np.count_nonzero(hits)) / len(hits)
 
 
 def pibr(frames) -> float:
@@ -98,15 +142,23 @@ def pibr(frames) -> float:
     frames = list(frames)
     if not frames:
         raise MetricError("pibr: empty frame list")
-    hits = 0
     for frame in frames:
         if not frame.frame_class.is_ave:
             raise MetricError(f"pibr: frame {frame.annotation.video_id}@"
                               f"{frame.annotation.frame_index} is not an AVE frame")
-        values = frame.heatmap.values
-        if ((values == values.max()) & frame.mask).any():
-            hits += 1
-    return hits / len(frames)
+    return _hit_rate(np.concatenate([_peak_hits(*_frame_rows(f)) for f in frames]))
+
+
+def _peak_ratio(signal_peaks: np.ndarray, noise_peaks: np.ndarray) -> float:
+    """PNSR from the AVE in-box peaks and the non-AVE peaks."""
+    if not len(signal_peaks):
+        raise MetricError("pnsr: no AVE frames")
+    if not len(noise_peaks):
+        raise MetricError("pnsr: no non-AVE frames")
+    denom = float(np.mean(signal_peaks))
+    if denom == 0.0:
+        raise MetricError("pnsr: zero mean in-box signal peak")
+    return float(np.mean(noise_peaks)) / denom
 
 
 def pnsr(frames) -> float:
@@ -115,20 +167,14 @@ def pnsr(frames) -> float:
     signal_peaks = []
     for frame in frames:
         if frame.frame_class.is_ave:
-            if not frame.mask.any():
+            values, mask = _frame_rows(frame)
+            if not mask.any():
                 raise MetricError(f"pnsr: AVE frame {frame.annotation.video_id}@"
                                   f"{frame.annotation.frame_index} rasterizes to an empty mask")
-            signal_peaks.append(float(frame.heatmap.values[frame.mask].max()))
+            signal_peaks.append(_in_box_peaks(values, mask)[0])
         else:
-            noise_peaks.append(float(frame.heatmap.values.max()))
-    if not signal_peaks:
-        raise MetricError("pnsr: no AVE frames")
-    if not noise_peaks:
-        raise MetricError("pnsr: no non-AVE frames")
-    denom = float(np.mean(signal_peaks))
-    if denom == 0.0:
-        raise MetricError("pnsr: zero mean in-box signal peak")
-    return float(np.mean(noise_peaks)) / denom
+            noise_peaks.append(frame.heatmap.values.max())
+    return _peak_ratio(np.array(signal_peaks), np.array(noise_peaks))
 
 
 def minmax_normalize(heatmap: Heatmap) -> Heatmap:
@@ -172,15 +218,27 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
+def _score_block(annotations, heatmaps, grid_w: int, grid_h: int):
+    """HmBoxAUC, PiBR hit and in-box peak of each AVE frame of one block."""
+    values = np.stack([hm.values.ravel() for hm in heatmaps])
+    masks = rasterize_frames(annotations, grid_w, grid_h).reshape(len(values), -1)
+    empty = np.flatnonzero(~masks.any(axis=1))
+    if len(empty):
+        ann = annotations[empty[0]]
+        raise EmptyMaskError(f"AVE frame {ann.video_id}@{ann.frame_index}: no sounding box "
+                             f"covers a cell centre of the {grid_w}x{grid_h} grid")
+    return _auc_rows(values, masks), _peak_hits(values, masks), _in_box_peaks(values, masks)
+
+
 def evaluate(index: DatasetIndex, heatmaps, grid_w: int, grid_h: int) -> MetricsReport:
     """Full report over a dataset.
 
     heatmaps: mapping (video_id, frame_index) -> Heatmap, one per annotated
     frame, all on the same (grid_h, grid_w) grid. HmBoxAUC and PiBR are
     per-frame means over AVE frames; each PNSR subclass uses that subclass's
-    frames as numerator against the global AVE denominator. Each AVE frame's
-    mask is rasterized and its HmBoxAUC swept once, and every bucket averages
-    those per-frame values.
+    frames as numerator against the global AVE denominator. AVE frames are
+    scored in blocks of BLOCK_FRAMES, each frame once, and every bucket
+    averages those per-frame values.
     """
     missing = [(f.video_id, f.frame_index) for f in index.frames
                if (f.video_id, f.frame_index) not in heatmaps]
@@ -188,35 +246,39 @@ def evaluate(index: DatasetIndex, heatmaps, grid_w: int, grid_h: int) -> Metrics
         names = ", ".join(f"{v}@{i}" for v, i in missing)
         raise MetricError(f"missing heatmaps for frames: {names}")
 
-    frames = []
-    by_class = {cls: [] for cls in FrameClass}
+    maps, classes = [], []
     for ann in index.frames:  # already sorted; reduction order is deterministic
         hm = heatmaps[(ann.video_id, ann.frame_index)]
         if hm.values.shape != (grid_h, grid_w):
             raise MetricError(f"heatmap for {ann.video_id}@{ann.frame_index} has shape "
                               f"{hm.values.shape}, expected {(grid_h, grid_w)}")
-        frame = EvalFrame(heatmap=hm, annotation=ann, frame_class=classify_frame(ann))
-        frames.append(frame)
-        by_class[frame.frame_class].append(frame)
-    counts = {cls.value: len(group) for cls, group in by_class.items()}
-    counts["total"] = len(frames)
+        maps.append(hm)
+        classes.append(classify_frame(ann))
+    counts = {cls.value: classes.count(cls) for cls in FrameClass}
+    counts["total"] = len(classes)
 
-    ave = [f for f in frames if f.frame_class.is_ave]
-    auc = {id(f): hmbox_auc(f.heatmap, f.mask) for f in ave}
-    report_auc = {}
-    report_pibr = {}
-    for key, bucket in (("all", ave), ("single", by_class[FrameClass.AVE_SINGLE]),
-                        ("multi", by_class[FrameClass.AVE_MULTI])):
-        if bucket:
-            report_auc[key] = float(np.mean([auc[id(f)] for f in bucket]))
-            report_pibr[key] = pibr(bucket)
+    report_auc, report_pibr, report_pnsr = {}, {}, {}
+    ave = [k for k, cls in enumerate(classes) if cls.is_ave]
+    if not ave:
+        return MetricsReport(counts=counts)
+    blocks = (ave[k:k + BLOCK_FRAMES] for k in range(0, len(ave), BLOCK_FRAMES))
+    scores = [_score_block([index.frames[k] for k in block], [maps[k] for k in block],
+                           grid_w, grid_h) for block in blocks]
+    auc, hits, signal = (np.concatenate(parts) for parts in zip(*scores))
+    single = np.array([classes[k] is FrameClass.AVE_SINGLE for k in ave])
+    for key, bucket in (("all", np.ones_like(single)), ("single", single), ("multi", ~single)):
+        if bucket.any():
+            report_auc[key] = float(np.mean(auc[bucket]))
+            report_pibr[key] = _hit_rate(hits[bucket])
 
-    report_pnsr = {}
-    if ave and len(ave) < len(frames):
-        report_pnsr["all"] = pnsr(frames)
-        for cls, subset in by_class.items():
-            if subset and not cls.is_ave:
-                report_pnsr[cls.value.removeprefix("non_ave_")] = pnsr(ave + subset)
+    noise = [(cls, hm.values.max()) for hm, cls in zip(maps, classes) if not cls.is_ave]
+    if noise:
+        report_pnsr["all"] = _peak_ratio(signal, np.array([peak for _, peak in noise]))
+        for cls in FrameClass:
+            subset = [peak for c, peak in noise if c is cls]
+            if subset:
+                key = cls.value.removeprefix("non_ave_")
+                report_pnsr[key] = _peak_ratio(signal, np.array(subset))
 
     return MetricsReport(hmbox_auc=report_auc, pibr=report_pibr,
                          pnsr=report_pnsr, counts=counts)

@@ -368,8 +368,11 @@ def _clip_record(record, where):
     return clip_id, FrameClass(pattern), tuple(labels)
 
 
-def load_split(dataset_dir, split) -> list:
-    """Reconstruct ClipSamples for one split from the files on disk."""
+def load_split(dataset_dir, split, index=None) -> list:
+    """Reconstruct ClipSamples for one split from the files on disk.
+
+    index: the split's annotations, if the caller has parsed them already.
+    """
     root = Path(dataset_dir)
     path = root / "manifest.json"
     try:
@@ -383,11 +386,12 @@ def load_split(dataset_dir, split) -> list:
         raise GeneratorError(f"{path}: split {split!r} not present in manifest")
     if not isinstance(splits[split], list):
         raise GeneratorError(f"{path}: split {split!r} must be a list of clip records")
-    annotations = root / f"annotations_{split}.jsonl"
-    try:
-        index = parse_annotations(annotations.read_bytes())
-    except AnnotationError as exc:
-        raise AnnotationError(f"{annotations}: {exc}") from None
+    if index is None:
+        annotations = root / f"annotations_{split}.jsonl"
+        try:
+            index = parse_annotations(annotations.read_bytes())
+        except AnnotationError as exc:
+            raise AnnotationError(f"{annotations}: {exc}") from None
     by_video = {}
     for frame in index.frames:
         by_video.setdefault(frame.video_id, []).append(frame)

@@ -5,7 +5,7 @@ import pytest
 
 from avsol.annotation import (AnnotationError, BoundingBox, DatasetIndex,
                               FrameAnnotation, FrameClass, classify_frame,
-                              parse_annotations, rasterize_boxes,
+                              parse_annotations, rasterize_boxes, rasterize_frames,
                               serialize_annotations, validate)
 
 
@@ -93,6 +93,37 @@ class TestRasterize:
                     cy = (r + 0.5) * 100 / 7
                     inside = (x0 <= cx < x1) and (y0 <= cy < y1)
                     assert bool(mask[r, c]) == inside
+
+
+    def test_block_matches_per_cell_enumeration(self):
+        # frames of different sizes with zero to three boxes of every kind, in one block
+        rng = np.random.default_rng(6)
+        frames = []
+        for k in range(30):
+            w, h = (int(v) for v in rng.integers(10, 120, 2))
+            boxes = []
+            for _ in range(rng.integers(4)):
+                x0, y0 = rng.uniform(0, w), rng.uniform(0, h)
+                boxes.append(box(x0, y0, rng.uniform(x0, w), rng.uniform(y0, h),
+                                 sounding=bool(rng.random() < 0.7)))
+            if rng.random() < 0.2:
+                boxes.append(box(0, 0, w, h, out_of_view=True))
+            frames.append(frame("v", k, boxes, w=w, h=h))
+        masks = rasterize_frames(frames, 9, 7)
+        assert masks.shape == (30, 7, 9) and masks.dtype == bool
+        for f, mask in zip(frames, masks):
+            assert np.array_equal(mask, rasterize_boxes(f, 9, 7))
+            for r in range(7):
+                for c in range(9):
+                    cx, cy = (c + 0.5) * f.width / 9, (r + 0.5) * f.height / 7
+                    inside = any(b.x_min <= cx < b.x_max and b.y_min <= cy < b.y_max
+                                 for b in f.in_view_sounding_boxes())
+                    assert bool(mask[r, c]) == inside
+
+    def test_empty_block_and_bad_grid(self):
+        assert rasterize_frames([], 4, 3).shape == (0, 3, 4)
+        with pytest.raises(AnnotationError, match="grid dimensions"):
+            rasterize_frames([frame("v", 0)], 0, 3)
 
 
 class TestValidate:

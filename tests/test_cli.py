@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation, FrameClass,
                               classify_frame, parse_annotations, rasterize_boxes,
                               serialize_annotations)
+from avsol import cli, synth
 from avsol import tensor as T
 from avsol.binfile import FormatError
 from avsol.cli import main
@@ -122,6 +123,37 @@ class TestTrain:
         assert report == logged
 
 
+    def test_each_annotation_file_is_parsed_once(self, dataset, tmp_path, capsys,
+                                                 monkeypatch):
+        parsed = []
+
+        def counting(parse):
+            def wrapper(data):
+                parsed.append(hashlib.sha256(data).hexdigest())
+                return parse(data)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_annotations", counting(cli.parse_annotations))
+        monkeypatch.setattr(synth, "parse_annotations", counting(synth.parse_annotations))
+        code, _, _ = run(capsys, "train", "--dataset", str(dataset), "--epochs", "0",
+                         "--out", str(tmp_path / "run"))
+        assert code == 0
+        assert sorted(parsed) == sorted(
+            hashlib.sha256((dataset / f"annotations_{split}.jsonl").read_bytes()).hexdigest()
+            for split in ("train", "val", "test"))
+
+    def test_report_covers_test_frames_outside_the_manifest(self, dataset, tmp_path, capsys):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        dropped = manifest["splits"]["test"].pop()
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "train", "--dataset", str(copy), "--epochs", "0",
+                           "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert "missing heatmaps for frames: " + dropped["id"] + "@0" in err
+
+
 class TestEval:
     def test_perfect_heatmaps_reach_the_ideal_scores(self, dataset, tmp_path, capsys):
         maps = tmp_path / "perfect.avhm"
@@ -151,6 +183,21 @@ class TestEval:
         report = json.loads((tmp_path / "rep2" / "report.json").read_text())
         if "all" in report["pnsr"]:
             assert report["pnsr"]["all"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_box_between_cell_centres_names_the_frame_and_grid(self, tmp_path, capsys):
+        # a 6x6 grid over 24 px has cell centres at 2, 6, 10, ...; [3, 5) holds none
+        frame = FrameAnnotation(video_id="v", frame_index=0, width=24, height=24, boxes=(
+            BoundingBox(x_min=3, y_min=3, x_max=5, y_max=5, sounding=True,
+                        out_of_view=False, category="c"),))
+        annotations = tmp_path / "ann.jsonl"
+        annotations.write_bytes(serialize_annotations(DatasetIndex.from_frames([frame])))
+        maps = tmp_path / "maps.avhm"
+        write_heatmaps(maps, [("v", 0, Heatmap(np.zeros((6, 6))))])
+        code, _, err = run(capsys, "eval", "--annotations", str(annotations),
+                           "--heatmaps", str(maps), "--grid-w", "6", "--grid-h", "6")
+        assert code == 2
+        assert err == (f"error: {annotations}: AVE frame v@0: no sounding box covers "
+                       f"a cell centre of the 6x6 grid\n")
 
     def test_missing_annotation_file_is_a_data_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "eval", "--annotations", str(tmp_path / "nope.jsonl"),

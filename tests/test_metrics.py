@@ -1,7 +1,11 @@
+import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from avsol import metrics
 from avsol.annotation import (BoundingBox, DatasetIndex, FrameAnnotation,
@@ -61,6 +65,34 @@ def riemann_auc_fast(h: np.ndarray, m: np.ndarray, n_thresholds: int) -> float:
     precision = np.where(n_sel > 0, tp / np.maximum(n_sel, 1), 0.0)
     recall = tp / m.sum()
     return float(np.sum(precision * np.diff(recall, prepend=0.0)))
+
+
+def stable_sweep_auc(h: np.ndarray, m: np.ndarray) -> float:
+    """The one-frame sweep with a stable sort and a 1-D np.sum, step by step.
+
+    The block kernel must give these bits: it sorts without stability and
+    sums rows of a 2-D array.
+    """
+    h, m = h.ravel(), m.ravel().astype(bool)
+    order = np.argsort(-h, kind="stable")
+    tp_cum = np.cumsum(m[order])
+    last = np.nonzero(np.diff(h[order], append=-np.inf))[0]
+    tp = tp_cum[last]
+    recall = tp / int(m.sum())
+    return float(np.sum(tp / (last + 1) * np.diff(recall, prepend=0.0)))
+
+
+def brute_force_auc(h: np.ndarray, m: np.ndarray) -> float:
+    """One precision-recall point per distinct value, counted cell by cell."""
+    cells = list(zip(h.ravel().tolist(), m.ravel().astype(bool).tolist()))
+    fg = sum(inside for _, inside in cells)
+    area, prev_recall = 0.0, 0.0
+    for tau in sorted({v for v, _ in cells}, reverse=True):
+        selected = [inside for v, inside in cells if v >= tau]
+        recall = sum(selected) / fg
+        area += sum(selected) / len(selected) * (recall - prev_recall)
+        prev_recall = recall
+    return area
 
 
 def brute_force_pibr(frames) -> float:
@@ -185,6 +217,33 @@ class TestHmBoxAuc:
             if not mask.any():
                 mask[2, 2] = True
             assert abs(hmbox_auc(Heatmap(h), mask) - riemann_auc(h, mask)) <= 2e-3
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+           levels=st.integers(1, 3), data=st.data())
+    def test_heavy_ties_against_brute_force_sweep(self, shape, levels, data):
+        n = shape[0] * shape[1]
+        h = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=n,
+                                        max_size=n)), dtype=float).reshape(shape)
+        m = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(shape)
+        assume(m.any())
+        assert hmbox_auc(Heatmap(h), m) == pytest.approx(brute_force_auc(h, m), abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+           cells=st.integers(1, 900), levels=st.sampled_from([2, 5, 50, None]))
+    def test_block_rows_equal_the_stable_one_dimensional_sweep(self, seed, rows, cells,
+                                                              levels):
+        # rows of one block differ in their number of distinct values
+        rng = np.random.default_rng(seed)
+        values = rng.random((rows, cells))
+        values = (np.floor(values * levels) if levels
+                  else values.astype(np.float32).astype(np.float64))
+        masks = rng.random((rows, cells)) < rng.uniform(0.05, 0.9)
+        masks[:, 0] |= ~masks.any(axis=1)
+        assert metrics._auc_rows(values, masks).tolist() == [
+            stable_sweep_auc(v, m) for v, m in zip(values, masks)]
 
 
 class TestPibr:
@@ -364,32 +423,95 @@ def seeded_fixture(seed, grid, n_frames=40):
     return DatasetIndex.from_frames(annotations), heatmaps
 
 
-def bucket_by_bucket_report(index, heatmaps, grid):
-    """The report with every metric called on its own bucket's frames."""
+def bucket_by_bucket_report(index, heatmaps, grid_w, grid_h=None):
+    """The report with every metric called on its own bucket's frames.
+
+    A bucket with no frames is absent, as is PNSR without both AVE and
+    non-AVE frames.
+    """
+    grid_h = grid_w if grid_h is None else grid_h
     frames = [eval_frame(ann, heatmaps[(ann.video_id, ann.frame_index)].values)
               for ann in index.frames]
     ave = [f for f in frames if f.frame_class.is_ave]
     buckets = {"all": ave,
                "single": [f for f in ave if f.frame_class is FrameClass.AVE_SINGLE],
                "multi": [f for f in ave if f.frame_class is FrameClass.AVE_MULTI]}
+    buckets = {key: bucket for key, bucket in buckets.items() if bucket}
+    noise = {cls.value.removeprefix("non_ave_"): [f for f in frames if f.frame_class is cls]
+             for cls in FrameClass if not cls.is_ave}
+    has_pnsr = ave and len(ave) < len(frames)
     return MetricsReport(
         hmbox_auc={key: float(np.mean([hmbox_auc(f.heatmap,
-                                                 rasterize_boxes(f.annotation, grid, grid))
+                                                 rasterize_boxes(f.annotation, grid_w, grid_h))
                                        for f in bucket]))
                    for key, bucket in buckets.items()},
         pibr={key: pibr(bucket) for key, bucket in buckets.items()},
-        pnsr={"all": pnsr(frames),
-              "visible": pnsr(ave + [f for f in frames
-                                     if f.frame_class is FrameClass.NON_AVE_VISIBLE]),
-              "audible": pnsr(ave + [f for f in frames
-                                     if f.frame_class is FrameClass.NON_AVE_AUDIBLE]),
-              "noise": pnsr(ave + [f for f in frames
-                                   if f.frame_class is FrameClass.NON_AVE_NOISE])},
+        pnsr={**({"all": pnsr(frames)} if has_pnsr else {}),
+              **{key: pnsr(ave + subset) for key, subset in noise.items()
+                 if has_pnsr and subset}},
         counts={**{cls.value: sum(f.frame_class is cls for f in frames) for cls in FrameClass},
                 "total": len(frames)})
 
 
+@st.composite
+def eval_cases(draw):
+    """A dataset of every frame class on a 1x1 to 30x30 grid, its heatmaps and a
+    block size. Each AVE frame has a sounding box around one cell centre, so
+    its mask is never empty; heatmaps are float32-rounded or coarse, so ties
+    occur."""
+    grid_w, grid_h = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    width, height = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    n_frames = draw(st.integers(1, 40))
+    values_kind = draw(st.sampled_from(["float32", "tenths", "levels", "constant"]))
+    block = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def random_box(sounding):
+        x0, y0 = rng.uniform(0, width), rng.uniform(0, height)
+        return box(x0, y0, rng.uniform(x0, width), rng.uniform(y0, height), sounding=sounding)
+
+    def box_around_a_cell_centre():
+        cx = (rng.integers(grid_w) + 0.5) * width / grid_w
+        cy = (rng.integers(grid_h) + 0.5) * height / grid_h
+        return box(rng.uniform(0, cx), rng.uniform(0, cy),
+                   min(width, cx + rng.uniform(1e-3, width)),
+                   min(height, cy + rng.uniform(1e-3, height)))
+
+    out_of_view = box(0, 0, width, height, out_of_view=True)
+    annotations, heatmaps = [], {}
+    for k in range(n_frames):
+        silent = [random_box(False) for _ in range(rng.integers(3))]
+        boxes = [[box_around_a_cell_centre()],
+                 [box_around_a_cell_centre(), random_box(True)],
+                 [box_around_a_cell_centre(), out_of_view],
+                 [],
+                 [out_of_view]][rng.integers(5)] + silent
+        ann = FrameAnnotation(video_id=f"v{k // 8}", frame_index=k % 8, width=width,
+                              height=height, boxes=tuple(boxes))
+        values = rng.random((grid_h, grid_w))
+        values = {"float32": values.astype(np.float32).astype(np.float64),
+                  "tenths": values.round(1), "levels": np.floor(values * 3),
+                  "constant": np.full_like(values, rng.random())}[values_kind]
+        annotations.append(ann)
+        heatmaps[(ann.video_id, ann.frame_index)] = Heatmap(values)
+    return DatasetIndex.from_frames(annotations), heatmaps, grid_w, grid_h, block
+
+
 class TestEvaluate:
+    @settings(max_examples=80, deadline=None)
+    @given(case=eval_cases())
+    def test_blocks_equal_the_bucket_by_bucket_reference(self, case):
+        index, heatmaps, grid_w, grid_h, block = case
+        try:
+            expected = bucket_by_bucket_report(index, heatmaps, grid_w, grid_h)
+        except MetricError as exc:  # a zero mean in-box peak
+            with pytest.raises(MetricError, match=re.escape(str(exc))):
+                with mock.patch.object(metrics, "BLOCK_FRAMES", block):
+                    evaluate(index, heatmaps, grid_w, grid_h)
+            return
+        with mock.patch.object(metrics, "BLOCK_FRAMES", block):
+            assert evaluate(index, heatmaps, grid_w, grid_h) == expected
+
     @pytest.mark.parametrize("grid", [4, 7, 24])
     def test_report_equals_bucket_by_bucket_metrics(self, grid):
         index, heatmaps = seeded_fixture(grid, grid)
@@ -397,23 +519,32 @@ class TestEvaluate:
             index, heatmaps, grid)
 
     def test_each_ave_frame_is_rasterized_and_swept_once(self, monkeypatch):
+        # evaluate scores AVE frames in blocks: each AVE frame lies in exactly
+        # one block, is rasterized and swept there once, and no other frame is
         index, heatmaps = seeded_fixture(3, 7)
-        rasterized, swept = Counter(), Counter()
+        monkeypatch.setattr(metrics, "BLOCK_FRAMES", 5)
+        blocks, rasterized, swept = [], Counter(), []
 
-        def spy(counter, fn, key):
+        def spy(fn, record):
             def wrapper(*args):
-                counter[key(*args)] += 1
+                record(*args)
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(metrics, "rasterize_boxes", spy(
-            rasterized, metrics.rasterize_boxes, lambda ann, w, h: (ann.video_id, ann.frame_index)))
-        monkeypatch.setattr(metrics, "hmbox_auc", spy(
-            swept, metrics.hmbox_auc, lambda heatmap, mask: id(heatmap)))
+        monkeypatch.setattr(metrics, "_score_block", spy(
+            metrics._score_block, lambda anns, maps, w, h: blocks.append(
+                [(a.video_id, a.frame_index) for a in anns])))
+        monkeypatch.setattr(metrics, "rasterize_frames", spy(
+            metrics.rasterize_frames, lambda anns, w, h: rasterized.update(
+                (a.video_id, a.frame_index) for a in anns)))
+        monkeypatch.setattr(metrics, "_auc_rows", spy(
+            metrics._auc_rows, lambda values, masks: swept.append(len(values))))
         evaluate(index, heatmaps, 7, 7)
         ave = [(f.video_id, f.frame_index) for f in index.frames if classify_frame(f).is_ave]
+        assert [len(block) for block in blocks] == [5, 5, 5, 1]
+        assert Counter(key for block in blocks for key in block) == Counter(ave)
         assert rasterized == Counter(ave)
-        assert swept == Counter(id(heatmaps[key]) for key in ave)
+        assert swept == [len(block) for block in blocks]
 
     def test_hand_computed_report(self):
         index, heatmaps = mixed_fixture()
